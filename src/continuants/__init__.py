@@ -15,7 +15,6 @@ from .chebyshev import (
     u_genfun_coeff,
 )
 from .continuant import (
-    KVector,
     PeriodicAlpha,
     cf_eval,
     continuant_det_oracle,
@@ -26,14 +25,11 @@ from .continuant import (
     shift_check,
     transfer_matrix,
 )
-from .mat2 import Mat2, mat_mul, mat_power_binexp, mat_power_cheb, mat_power_naive
+from .mat2 import Mat2, mat_power_binexp, mat_power_cheb, mat_power_naive
 from .periodic import (
     closed_form_general,
     closed_form_klm,
     closed_form_klm_minus1,
-    fixture_l1,
-    fixture_l2,
-    fixture_l3,
     period_trace_det,
 )
 from .qrational import (
@@ -64,12 +60,12 @@ __all__ = [
     "BenchReport", "run_bench",
     "complete_homogeneous", "pieri_check", "scaled_u", "u_coeffs",
     "u_coeffs_hypergeometric", "u_genfun_coeff",
-    "KVector", "PeriodicAlpha", "cf_eval", "continuant_det_oracle",
+    "PeriodicAlpha", "cf_eval", "continuant_det_oracle",
     "continuant_rec", "det_bareiss", "det_leibniz", "k_vector",
     "shift_check", "transfer_matrix",
-    "Mat2", "mat_mul", "mat_power_binexp", "mat_power_cheb", "mat_power_naive",
+    "Mat2", "mat_power_binexp", "mat_power_cheb", "mat_power_naive",
     "closed_form_general", "closed_form_klm", "closed_form_klm_minus1",
-    "fixture_l1", "fixture_l2", "fixture_l3", "period_trace_det",
+    "period_trace_det",
     "CFDigits", "QRational", "cf_digits", "mgo_alpha", "q_fibonacci",
     "q_fibonacci_closed", "q_integer", "q_rational",
     "Quaternion", "quat_mul", "quat_power_cheb", "quat_power_naive",

@@ -1,16 +1,7 @@
 """Benchmark harness: four K_{lm} strategies over the ModInt ring.
 
-Strategies (all must agree exactly):
-
-* ``rec``            three-term recurrence, O(l*m) ring ops
-* ``transfer``       binary power of the one-period transfer matrix,
-                     O(l + log m) matrix multiplications
-* ``closed``         Chebyshev closed form with S_{m-1} by its own linear
-                     recurrence, O(l + m) ring ops
-* ``closed-matpow``  same closed form, but S_{m-1}, S_{m-2} read off a
-                     binary power of the companion matrix [[t, -d], [1, 0]],
-                     O(l + log m) ring ops
-
+The strategies are ``rec``, ``transfer``, ``closed`` and ``closed-matpow``
+from :data:`continuants.strategies.STRATEGIES` (all must agree exactly).
 ModInt is the benchmark ring so operation counts reflect algorithmic
 structure, not bignum growth; rational continuants grow exponentially.
 """
@@ -20,9 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .continuant import PeriodicAlpha, continuant_rec, transfer_matrix
-from .mat2 import Mat2, mat_power_binexp
-from .periodic import closed_form_klm, period_trace_det
+from . import strategies
+from .continuant import PeriodicAlpha
 from .ring import ModInt, modint_ops, reset_modint_ops
 
 
@@ -39,43 +29,8 @@ class BenchReport:
         return f"{self.strategy},{self.l},{self.m},{self.ns},{self.ops},{self.digest}"
 
 
-def k_lm_rec(alpha: PeriodicAlpha, p: int, m: int):
-    return continuant_rec(alpha, p, alpha.l * m)
-
-
-def k_lm_transfer(alpha: PeriodicAlpha, p: int, m: int):
-    """K_{lm} = top-left entry of A_l^m (acting on k_0 = (1, 0))."""
-    period = transfer_matrix(alpha, p, alpha.l)
-    return mat_power_binexp(period, m).a
-
-
-def k_lm_closed(alpha: PeriodicAlpha, p: int, m: int):
-    return closed_form_klm(alpha, p, m)
-
-
-def k_lm_closed_matpow(alpha: PeriodicAlpha, p: int, m: int):
-    """Closed form with the scaled Chebyshev pair from a companion power.
-
-    The companion matrix C = [[t, -d], [1, 0]] is itself a transfer matrix
-    with constant coefficients, so C^(m-1) = [[S_{m-1}, -d*S_{m-2}],
-    [S_{m-2}, -d*S_{m-3}]].
-    """
-    if m == 0:
-        return alpha.one()
-    t, d = period_trace_det(alpha, p)
-    comp = Mat2(t, -d, alpha.one(), alpha.zero())
-    power = mat_power_binexp(comp, m - 1)
-    s1, s2 = power.a, power.c  # S_{m-1}, S_{m-2}
-    kl = continuant_rec(alpha, p, alpha.l)
-    return s1 * kl - d * s2
-
-
-STRATEGIES = {
-    "rec": k_lm_rec,
-    "transfer": k_lm_transfer,
-    "closed": k_lm_closed,
-    "closed-matpow": k_lm_closed_matpow,
-}
+STRATEGIES = {name: strategies.STRATEGIES[name]
+              for name in ("rec", "transfer", "closed", "closed-matpow")}
 
 
 def run_bench(alpha: PeriodicAlpha, m_list: list[int], p: int | None = None) -> list[BenchReport]:
@@ -92,7 +47,7 @@ def run_bench(alpha: PeriodicAlpha, m_list: list[int], p: int | None = None) -> 
         for name, strategy in STRATEGIES.items():
             reset_modint_ops()
             t0 = time.perf_counter_ns()
-            value = strategy(alpha, p, m)
+            value = strategy(alpha, p, alpha.l * m)
             elapsed = time.perf_counter_ns() - t0
             reports.append(
                 BenchReport(name, alpha.l, m, elapsed, modint_ops(), value.value)

@@ -16,19 +16,12 @@ from fractions import Fraction
 
 from .bench import render_table, run_bench
 from .chebyshev import u_coeffs
-from .continuant import (
-    PeriodicAlpha,
-    cf_eval,
-    continuant_det_oracle,
-    continuant_rec,
-    shift_check,
-    transfer_matrix,
-)
-from .mat2 import mat_power_cheb
-from .periodic import closed_form_general, closed_form_klm
+from .continuant import PeriodicAlpha
+from .periodic import check_offset
 from .qrational import cf_digits, q_fibonacci, q_rational
 from .quaternion import Quaternion, quat_power_cheb, quat_power_naive
 from .ring import DEFAULT_MODULUS, ModInt, ring_by_name
+from .strategies import STRATEGIES, run_verify
 
 
 class ConfigError(ValueError):
@@ -59,6 +52,11 @@ class AlphaConfig:
 
 
 _REQUIRED_KEYS = ("ring", "l", "p", "a", "b", "c")
+
+# The STRATEGIES entries each subcommand offers; `periodic --verify` runs
+# its entries in this order.
+CONTINUANT_STRATEGIES = ("oracle", "rec", "transfer")
+PERIODIC_STRATEGIES = ("closed", "rec", "oracle", "matpow")
 
 
 def parse_config(text: str) -> AlphaConfig:
@@ -114,7 +112,10 @@ def parse_config(text: str) -> AlphaConfig:
         arrays[key] = items
 
     cfg = AlphaConfig(ring, l, p, arrays["a"], arrays["b"], arrays["c"], modulus)
-    spec = cfg.ring_spec()
+    try:
+        spec = cfg.ring_spec()
+    except ValueError as exc:  # only an explicit modulus can be refused
+        raise ConfigError(f"line {entries['modulus'][0]}: field 'modulus': {exc}") from None
     for key in ("a", "b", "c"):
         lineno, _ = entries[key]
         for i, item in enumerate(arrays[key]):
@@ -131,120 +132,6 @@ def load_config(path: str) -> AlphaConfig:
         return parse_config(fh.read())
 
 
-# --- cross-strategy verification ------------------------------------------
-
-
-def general_matpow(alpha: PeriodicAlpha, p: int, m: int, j: int):
-    """K_{lm+j}(p-j) via a Chebyshev matrix power of the period matrix."""
-    power = mat_power_cheb(transfer_matrix(alpha, p, alpha.l), m)
-    top, bottom = power.a, power.c  # k_{lm}(p) = first column acting on (1, 0)
-    if j == -1:
-        return bottom
-    vec = transfer_matrix(alpha, p - j, j).apply((top, bottom))
-    return vec[0]
-
-
-def run_verify(alpha: PeriodicAlpha, n_max: int = 8, m_max: int = 4):
-    """Cross-strategy agreement suite; returns (identity, status, detail) rows.
-
-    Status is PASS, FAIL or SKIP (the continued-fraction quotient needs
-    every c = -1 and nonvanishing intermediate denominators).
-    """
-    results = []
-    base = alpha.base
-    l = alpha.l
-
-    def record(name: str, failures: list, total: int, skipped: int = 0):
-        if failures:
-            results.append((name, "FAIL", f"{len(failures)}/{total} cases; first: {failures[0]}"))
-        elif total == 0 or skipped == total:
-            results.append((name, "SKIP", "no applicable cases"))
-        else:
-            note = f"{total} cases" + (f", {skipped} skipped" if skipped else "")
-            results.append((name, "PASS", note))
-
-    failures = []
-    total = 0
-    for p in range(base, base + l):
-        for n in range(-1, n_max + 1):
-            total += 1
-            rec = continuant_rec(alpha, p, n)
-            orc = continuant_det_oracle(alpha, p, n)
-            if rec != orc:
-                failures.append(f"p={p} n={n}: rec={rec} oracle={orc}")
-    record("recurrence=oracle", failures, total)
-
-    failures = []
-    total = 0
-    for m in range(m_max + 1):
-        for j in range(-1, l - 1):
-            total += 1
-            closed = closed_form_general(alpha, base, m, j)
-            rec = continuant_rec(alpha, base - j, l * m + j)
-            if closed != rec:
-                failures.append(f"m={m} j={j}: closed={closed} rec={rec}")
-    record("closed=recurrence", failures, total)
-
-    failures = []
-    total = 0
-    for n in range(0, min(n_max, 6) + 1):
-        for m in range(0, n + 1):
-            total += 1
-            if not shift_check(alpha, base, n, m):
-                failures.append(f"n={n} m={m}")
-    record("shift", failures, total)
-
-    failures = []
-    total = 0
-    for n in range(1, n_max + 1):
-        total += 1
-        mat = transfer_matrix(alpha, base, n)
-        bc = alpha.b_at(base + n - 1) * alpha.c_at(base + n - 1)
-        expected = (
-            continuant_rec(alpha, base, n),
-            -(bc * continuant_rec(alpha, base, n - 1)),
-            continuant_rec(alpha, base + 1, n - 1),
-            -(bc * continuant_rec(alpha, base + 1, n - 2)),
-        )
-        det = alpha.one()
-        for i in range(n):
-            det = det * (alpha.b_at(base + i) * alpha.c_at(base + i))
-        trace_ok = mat.trace() == expected[0] + expected[3]
-        if (mat.a, mat.b, mat.c, mat.d) != expected or mat.det() != det or not trace_ok:
-            failures.append(f"n={n}")
-    record("trace/det", failures, total)
-
-    failures = []
-    skipped = 0
-    total = 0
-    neg_one = -alpha.one()
-    if all(c == neg_one for c in alpha.c):
-        for n in range(1, n_max + 1):
-            total += 1
-            try:
-                quotient = cf_eval(alpha, base, n)
-            except ZeroDivisionError:
-                skipped += 1
-                continue
-            lhs = quotient * continuant_rec(alpha, base + 1, n - 1)
-            if lhs != continuant_rec(alpha, base, n):
-                failures.append(f"n={n}")
-        record("cf-quotient", failures, total, skipped)
-    else:
-        results.append(("cf-quotient", "SKIP", "requires every c = -1"))
-
-    failures = []
-    total = 0
-    for m in range(m_max + 1):
-        total += 1
-        period = transfer_matrix(alpha, base, l)
-        if mat_power_cheb(period, m) != transfer_matrix(alpha, base, l * m):
-            failures.append(f"m={m}")
-    record("matpow-periods", failures, total)
-
-    return results
-
-
 # --- subcommand handlers ---------------------------------------------------
 
 
@@ -252,16 +139,7 @@ def _cmd_continuant(args) -> int:
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
     p = args.p if args.p is not None else cfg.p
-    if args.strategy == "rec":
-        value = continuant_rec(alpha, p, args.n)
-    elif args.strategy == "oracle":
-        value = continuant_det_oracle(alpha, p, args.n)
-    else:  # transfer
-        if args.n >= 1:
-            value = transfer_matrix(alpha, p, args.n).a
-        else:
-            value = alpha.one() if args.n == 0 else alpha.zero()
-    print(cfg.ring_spec().format(value))
+    print(cfg.ring_spec().format(STRATEGIES[args.strategy](alpha, p, args.n)))
     return 0
 
 
@@ -269,26 +147,19 @@ def _cmd_periodic(args) -> int:
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
     p = args.p if args.p is not None else cfg.p
-    if args.j is None:
-        # Plain K_{lm}; an explicit --j goes through the bilinear form with
-        # its -1 <= j <= l-2 domain.
-        closed = lambda: closed_form_klm(alpha, p, args.m)
-        j = 0
-    else:
-        closed = lambda: closed_form_general(alpha, p, args.m, args.j)
-        j = args.j
-    strategies = {
-        "closed": closed,
-        "rec": lambda: continuant_rec(alpha, p - j, alpha.l * args.m + j),
-        "oracle": lambda: continuant_det_oracle(alpha, p - j, alpha.l * args.m + j),
-        "matpow": lambda: general_matpow(alpha, p, args.m, j),
-    }
-    value = strategies[args.strategy]()
+    # Plain K_{lm} without --j; an explicit --j has the -1 <= j <= l-2 domain.
+    j = 0 if args.j is None else args.j
+    if args.j is not None:
+        check_offset(alpha.l, args.m, j)
+    elif args.m < 0:
+        raise ValueError("need m >= 0")
+    evaluate = lambda name: STRATEGIES[name](alpha, p - j, alpha.l * args.m + j)
+    value = evaluate(args.strategy)
     print(cfg.ring_spec().format(value))
     if args.verify:
         status = 0
-        for name, fn in strategies.items():
-            other = fn()
+        for name in PERIODIC_STRATEGIES:
+            other = evaluate(name)
             ok = other == value
             print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.ring_spec().format(other)}")
             if not ok:
@@ -317,7 +188,8 @@ def _cmd_quatpow(args) -> int:
         raise ValueError("--q expects four comma-separated rationals a,b,c,d")
     x = Quaternion(*(Fraction(s) for s in parts))
     value = quat_power_cheb(x, args.n)
-    assert value == quat_power_naive(x, args.n)
+    if value != quat_power_naive(x, args.n):
+        raise ValueError("Chebyshev and naive quaternion powers disagree")
     print(value)
     return 0
 
@@ -328,6 +200,7 @@ def _cmd_chebyshev(args) -> int:
 
 
 def _random_modint_alpha(l: int, seed: int, modulus: int) -> PeriodicAlpha:
+    ring_by_name("modint", modulus)  # refuses a modulus that is not an odd prime
     rng = random.Random(seed)
     mk = lambda: ModInt(rng.randrange(1, 100), modulus)
     return PeriodicAlpha([mk() for _ in range(l)], [mk() for _ in range(l)],
@@ -377,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--config", required=True)
     p_cont.add_argument("--p", type=int, default=None)
     p_cont.add_argument("--n", type=int, required=True)
-    p_cont.add_argument("--strategy", choices=("oracle", "rec", "transfer"),
-                        default="rec")
+    p_cont.add_argument("--strategy", choices=CONTINUANT_STRATEGIES, default="rec")
     p_cont.set_defaults(func=_cmd_continuant)
 
     p_per = sub.add_parser("periodic", help="evaluate K_{lm+j} closed forms")
@@ -387,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_per.add_argument("--m", type=int, required=True)
     p_per.add_argument("--j", type=int, default=None,
                        help="offset in -1..l-2; omit for plain K_{lm}")
-    p_per.add_argument("--strategy", choices=("closed", "rec", "oracle", "matpow"),
-                       default="closed")
+    p_per.add_argument("--strategy", choices=PERIODIC_STRATEGIES, default="closed")
     p_per.add_argument("--verify", action="store_true",
                        help="also check all strategies agree")
     p_per.set_defaults(func=_cmd_periodic)

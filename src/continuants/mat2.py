@@ -84,10 +84,6 @@ class Mat2:
         return f"Mat2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
 
 
-def mat_mul(x: Mat2, y: Mat2) -> Mat2:
-    return x * y
-
-
 def mat_power_naive(a: Mat2, m: int) -> Mat2:
     """A^m by repeated multiplication (reference oracle); A^0 = I."""
     if m < 0:
@@ -111,6 +107,17 @@ def mat_power_binexp(a: Mat2, m: int) -> Mat2:
             base = base * base
         m >>= 1
     return result
+
+
+def scaled_u_pair_binexp(m: int, t, d):
+    """(S_m, S_{m-1}) read off a binary power of the companion matrix.
+
+    The companion matrix C = [[t, -d], [1, 0]] is a transfer matrix with
+    constant coefficients, so C^m = [[S_m, -d*S_{m-1}], [S_{m-1}, -d*S_{m-2}]];
+    O(log m) ring ops, m >= 0.
+    """
+    power = mat_power_binexp(Mat2(t, -d, ring_one(t), ring_zero(t)), m)
+    return power.a, power.c
 
 
 def mat_power_cheb(a: Mat2, m: int) -> Mat2:

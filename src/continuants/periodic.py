@@ -16,18 +16,11 @@ combination
 where at j = -1 the whole product -b_{p-1} c_{p-1} K_{-2} is replaced by
 the ring unit (never by dividing).  Because S_k(t, 0) = t^k, one code path
 serves both the invertible and the singular transfer-matrix cases.
-
-``fixture_l1`` / ``fixture_l2`` / ``fixture_l3`` re-verify the specialized
-period-1/2/3 formulas (written square-root-free) on random rational data.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .chebyshev import scaled_u, scaled_u_pair
+from .chebyshev import scaled_u_pair
 from .continuant import PeriodicAlpha, continuant_rec, transfer_matrix
 
 
@@ -45,160 +38,54 @@ def period_trace_det(alpha: PeriodicAlpha, p: int):
     return t, d
 
 
-def closed_form_klm(alpha: PeriodicAlpha, p: int, m: int):
-    """K_{lm}(alpha_p) in O(l + m) ring operations; m = 0 gives K_0 = 1."""
+def _closed(alpha: PeriodicAlpha, p: int, m: int, j: int, pair):
+    """K_{lm+j}(alpha_{p-j}) for j >= -1 from one trace/det and one S pair.
+
+    ``pair(k, t, d)`` returns (S_k, S_{k-1}); it is the only part that
+    differs between the linear and the logarithmic closed forms.
+    """
     if m < 0:
         raise ValueError("need m >= 0")
     if m == 0:
-        return alpha.one()
+        return continuant_rec(alpha, p - j, j)
     t, d = period_trace_det(alpha, p)
-    kl = continuant_rec(alpha, p, alpha.l)
-    s1, s2 = scaled_u_pair(m - 1, t, d)
-    return s1 * kl - d * s2
+    s1, s2 = pair(m - 1, t, d)  # S_{m-1}, S_{m-2}
+    if j == -1:
+        # The -b_{p-1} c_{p-1} K_{-2} product is the ring unit by
+        # convention, so only the K_{lm-1} term survives.
+        return s1 * continuant_rec(alpha, p + 1, alpha.l - 1)
+    klm = s1 * continuant_rec(alpha, p, alpha.l) - d * s2
+    if j == 0:
+        return klm
+    klm_minus1 = s1 * continuant_rec(alpha, p + 1, alpha.l - 1)
+    bc = alpha.b_at(p - 1) * alpha.c_at(p - 1)
+    return (continuant_rec(alpha, p - j, j) * klm
+            - bc * continuant_rec(alpha, p - j, j - 1) * klm_minus1)
+
+
+def closed_form_klm(alpha: PeriodicAlpha, p: int, m: int):
+    """K_{lm}(alpha_p) in O(l + m) ring operations; m = 0 gives K_0 = 1."""
+    return _closed(alpha, p, m, 0, scaled_u_pair)
 
 
 def closed_form_klm_minus1(alpha: PeriodicAlpha, p: int, m: int):
     """K_{lm-1}(alpha_{p+1}) = S_{m-1} * K_{l-1}(alpha_{p+1}); m = 0 gives 0."""
+    return _closed(alpha, p, m, -1, scaled_u_pair)
+
+
+def check_offset(l: int, m: int, j: int) -> None:
+    """Raise ValueError unless -1 <= j <= l - 2 and m >= 0."""
+    if not -1 <= j <= l - 2:
+        raise ValueError(f"j must lie in -1..{l - 2}, got {j}")
     if m < 0:
         raise ValueError("need m >= 0")
-    t, d = period_trace_det(alpha, p)
-    klm1 = continuant_rec(alpha, p + 1, alpha.l - 1)
-    return scaled_u(m - 1, t, d) * klm1
 
 
-def closed_form_general(alpha: PeriodicAlpha, p: int, m: int, j: int):
-    """K_{lm+j}(alpha_{p-j}) for -1 <= j <= l - 2 via the bilinear form."""
-    if not -1 <= j <= alpha.l - 2:
-        raise ValueError(f"j must lie in -1..{alpha.l - 2}, got {j}")
-    if m < 0:
-        raise ValueError("need m >= 0")
-    if j == -1:
-        # The -b_{p-1} c_{p-1} K_{-2} product is the ring unit by
-        # convention, so only the K_{lm-1} term survives.
-        return closed_form_klm_minus1(alpha, p, m)
-    kj = continuant_rec(alpha, p - j, j)
-    kjm1 = continuant_rec(alpha, p - j, j - 1)
-    bc = alpha.b_at(p - 1) * alpha.c_at(p - 1)
-    return kj * closed_form_klm(alpha, p, m) - bc * kjm1 * closed_form_klm_minus1(alpha, p, m)
+def closed_form_general(alpha: PeriodicAlpha, p: int, m: int, j: int, pair=None):
+    """K_{lm+j}(alpha_{p-j}) for -1 <= j <= l - 2 via the bilinear form.
 
-
-# --- specialized small-period fixtures -----------------------------------
-
-
-@dataclass
-class FixtureCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
-
-
-def _check(report: list[FixtureCheck], name: str, lhs, rhs) -> None:
-    ok = lhs == rhs
-    report.append(FixtureCheck(name, ok, "" if ok else f"{lhs} != {rhs}"))
-
-
-def fixture_l1(rng: random.Random | None = None, trials: int = 20, m_max: int = 6):
-    """Period-1 closed form: K_m = S_m(a, bc), i.e. a*S_{m-1} - bc*S_{m-2}.
-
-    With bc = 0 this degenerates to K_m = a^m.
+    ``pair`` computes (S_k, S_{k-1}) and defaults to the linear
+    recurrence ``scaled_u_pair``.
     """
-    rng = rng or random.Random(0x11)
-    report: list[FixtureCheck] = []
-    cases = [
-        (_rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng))
-        for _ in range(trials)
-    ]
-    cases.append((Fraction(3), Fraction(0), _rand_fraction(rng)))  # bc = 0
-    cases.append((Fraction(-2), _rand_fraction(rng), Fraction(0)))
-    for a, b, c in cases:
-        alpha = PeriodicAlpha([a], [b], [c])
-        bc = b * c
-        for m in range(m_max + 1):
-            km = continuant_rec(alpha, 1, m)
-            _check(report, f"l1 K_{m} = S_{m}(a, bc) [a={a} b={b} c={c}]",
-                   km, scaled_u(m, a, bc))
-            _check(report, f"l1 K_{m} = closed_form_klm [a={a} b={b} c={c}]",
-                   km, closed_form_klm(alpha, 1, m))
-            if bc == 0 and m >= 1:
-                _check(report, f"l1 degenerate K_{m} = a^{m}", km, a ** m)
-    return report
-
-
-def fixture_l2(rng: random.Random | None = None, trials: int = 15, m_max: int = 5):
-    """Period-2 closed forms with t = a1*a2 - b1*c1 - b2*c2, d = b1*c1*b2*c2."""
-    rng = rng or random.Random(0x22)
-    report: list[FixtureCheck] = []
-    cases = [tuple(_rand_fraction(rng) for _ in range(6)) for _ in range(trials)]
-    degenerate = list(_rand_fraction(rng) for _ in range(6))
-    degenerate[3] = Fraction(0)  # b2 = 0 makes det A_2 vanish
-    cases.append(tuple(degenerate))
-    for a1, a2, b1, b2, c1, c2 in cases:
-        alpha = PeriodicAlpha([a1, a2], [b1, b2], [c1, c2])
-        t = a1 * a2 - b1 * c1 - b2 * c2
-        d = b1 * c1 * b2 * c2
-        tag = f"[{a1},{a2};{b1},{b2};{c1},{c2}]"
-        for p in (1, 2):
-            k2p = a1 * a2 - alpha.b_at(p) * alpha.c_at(p)
-            for m in range(1, m_max + 1):
-                s1, s2 = scaled_u_pair(m - 1, t, d)
-                _check(report, f"l2 K_{2 * m}(p={p}) m={m} {tag}",
-                       continuant_rec(alpha, p, 2 * m), s1 * k2p - d * s2)
-                _check(report, f"l2 K_{2 * m - 1}(p={p + 1}) m={m} {tag}",
-                       continuant_rec(alpha, p + 1, 2 * m - 1),
-                       s1 * alpha.a_at(p + 1))
-                if d == 0:
-                    _check(report, f"l2 degenerate K_{2 * m}(p={p}) m={m} {tag}",
-                           continuant_rec(alpha, p, 2 * m), t ** (m - 1) * k2p)
-                    _check(report,
-                           f"l2 degenerate K_{2 * m - 1}(p={p + 1}) m={m} {tag}",
-                           continuant_rec(alpha, p + 1, 2 * m - 1),
-                           t ** (m - 1) * alpha.a_at(p + 1))
-    return report
-
-
-def fixture_l3(rng: random.Random | None = None, trials: int = 12, m_max: int = 4):
-    """Period-3 closed forms and the explicit one-period transfer matrix."""
-    rng = rng or random.Random(0x33)
-    report: list[FixtureCheck] = []
-    cases = [tuple(_rand_fraction(rng) for _ in range(9)) for _ in range(trials)]
-    degenerate = list(_rand_fraction(rng) for _ in range(9))
-    degenerate[5] = Fraction(0)  # b3 = 0
-    cases.append(tuple(degenerate))
-    for vals in cases:
-        a1, a2, a3, b1, b2, b3, c1, c2, c3 = vals
-        alpha = PeriodicAlpha([a1, a2, a3], [b1, b2, b3], [c1, c2, c3])
-        t = a1 * a2 * a3 - a1 * b2 * c2 - a2 * b3 * c3 - a3 * b1 * c1
-        d = b1 * c1 * b2 * c2 * b3 * c3
-        tag = f"[{','.join(map(str, vals))}]"
-        for p in (1, 2, 3):
-            aP = alpha.a_at
-            bP = alpha.b_at
-            cP = alpha.c_at
-            k3p = a1 * a2 * a3 - aP(p + 2) * bP(p) * cP(p) - aP(p) * bP(p + 1) * cP(p + 1)
-            expected = (
-                k3p,
-                -aP(p) * aP(p + 1) * bP(p + 2) * cP(p + 2)
-                + bP(p) * cP(p) * bP(p + 2) * cP(p + 2),
-                aP(p + 1) * aP(p + 2) - bP(p + 1) * cP(p + 1),
-                -aP(p + 1) * bP(p + 2) * cP(p + 2),
-            )
-            mat = transfer_matrix(alpha, p, 3)
-            _check(report, f"l3 A_3 entries p={p} {tag}",
-                   (mat.a, mat.b, mat.c, mat.d), expected)
-            for m in range(1, m_max + 1):
-                s1, s2 = scaled_u_pair(m - 1, t, d)
-                k3m = continuant_rec(alpha, p, 3 * m)
-                k3m_minus = continuant_rec(alpha, p + 1, 3 * m - 1)
-                _check(report, f"l3 K_{3 * m}(p={p}) m={m} {tag}",
-                       k3m, s1 * k3p - d * s2)
-                _check(report, f"l3 K_{3 * m - 1}(p={p + 1}) m={m} {tag}",
-                       k3m_minus,
-                       s1 * (aP(p + 1) * aP(p + 2) - bP(p + 1) * cP(p + 1)))
-                _check(report, f"l3 K_{3 * m + 1}(p={p - 1}) m={m} {tag}",
-                       continuant_rec(alpha, p - 1, 3 * m + 1),
-                       aP(p - 1) * k3m - bP(p - 1) * cP(p - 1) * k3m_minus)
-    return report
+    check_offset(alpha.l, m, j)
+    return _closed(alpha, p, m, j, pair or scaled_u_pair)

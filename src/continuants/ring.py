@@ -5,7 +5,8 @@ Three interchangeable exact rings back everything in this package:
 * big rationals -- the stdlib ``fractions.Fraction``,
 * integer-coefficient Laurent polynomials in one variable ``q``
   (``LaurentPoly``),
-* modular integers for benchmarking (``ModInt``, prime modulus).
+* modular integers for benchmarking (``ModInt``, prime modulus below
+  ``MAX_MODULUS``, checked by deterministic Miller-Rabin).
 
 ``LaurentFraction`` is the fraction field of ``LaurentPoly``: a normalized
 numerator/denominator pair.  Normalization is by integer content, a power
@@ -611,39 +612,20 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 
 
 class RationalRing:
-    name = "rational"
-    is_field = True
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
     def parse(self, text: str) -> Fraction:
         s = text.strip()
         if not _RATIONAL_RE.match(s):
             raise ValueError(f"not a rational literal: {text!r}")
-        return Fraction(s.replace(" ", ""))
+        try:
+            return Fraction(s.replace(" ", ""))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def format(self, x) -> str:
         return str(x)
 
 
 class LaurentRing:
-    name = "laurent"
-    is_field = False
-
-    @property
-    def zero(self):
-        return LaurentPoly.zero()
-
-    @property
-    def one(self):
-        return LaurentPoly.one()
-
     def parse(self, text: str) -> LaurentPoly:
         return parse_laurent(text)
 
@@ -651,24 +633,44 @@ class LaurentRing:
         return str(x)
 
 
-class ModIntRing:
-    name = "modint"
-    is_field = True
+#: The first 13 primes.  No composite below MAX_MODULUS is a strong
+#: pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3_317_044_064_679_887_385_961_981
 
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < MAX_MODULUS."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class ModIntRing:
     def __init__(self, modulus: int = DEFAULT_MODULUS):
-        # Inverses use Fermat's little theorem, so primality is assumed
-        # (not verified) beyond this cheap sanity check.
-        if modulus < 3 or modulus % 2 == 0:
+        # Inverses use Fermat's little theorem, which needs a prime modulus.
+        if modulus >= MAX_MODULUS:
+            raise ValueError(f"modulus must be below {MAX_MODULUS}")
+        if modulus == 2 or not _is_prime(modulus):
             raise ValueError("modulus must be an odd prime")
         self.modulus = modulus
-
-    @property
-    def zero(self):
-        return ModInt(0, self.modulus)
-
-    @property
-    def one(self):
-        return ModInt(1, self.modulus)
 
     def parse(self, text: str) -> ModInt:
         s = text.strip()

@@ -1,0 +1,181 @@
+"""Every route to K_n, named once, and the cross-strategy verification suite.
+
+``STRATEGIES[name](alpha, p, n)`` is K_n(alpha_p) for n >= -1; all entries
+must agree exactly:
+
+* ``rec``            three-term recurrence, O(n) ring ops
+* ``oracle``         Bareiss determinant of the dense n x n matrix (oracle,
+                     O(n^2) cells; keep it off the hot path)
+* ``transfer``       binary power of the one-period transfer matrix,
+                     O(l + log n) matrix multiplications
+* ``closed``         Chebyshev closed form with the S pair from its own
+                     linear recurrence, O(l + n/l) ring ops
+* ``closed-matpow``  same closed form, with the S pair read off a binary
+                     power of the companion matrix, O(l + log n) ring ops
+* ``matpow``         Chebyshev (Cayley-Hamilton) power of the one-period
+                     transfer matrix, O(l + n/l) ring ops
+
+The periodic routes (all but ``rec`` and ``oracle``) write
+n = l*m + j with -1 <= j <= l - 2 themselves.  Entries call through this
+module's globals, so rebinding an imported name here reaches the table.
+"""
+
+from __future__ import annotations
+
+from .continuant import (
+    PeriodicAlpha,
+    cf_eval,
+    continuant_det_oracle,
+    continuant_rec,
+    shift_check,
+    transfer_matrix,
+)
+from .mat2 import mat_power_binexp, mat_power_cheb, scaled_u_pair_binexp
+from .periodic import closed_form_general
+
+
+def split(l: int, n: int) -> tuple[int, int]:
+    """(m, j) with n = l*m + j and -1 <= j <= l - 2."""
+    if n < -1:
+        raise ValueError("continuants are defined for n >= -1")
+    m = (n + 1) // l
+    return m, n - l * m
+
+
+def _closed_form(alpha: PeriodicAlpha, p: int, n: int, pair=None):
+    m, j = split(alpha.l, n)
+    return closed_form_general(alpha, p + j, m, j, pair)
+
+
+def _period_power(alpha: PeriodicAlpha, p: int, n: int, power):
+    """K_n(alpha_p): A_j(alpha_p) times A_l(alpha_{p+j})^m, first column."""
+    m, j = split(alpha.l, n)
+    period = power(transfer_matrix(alpha, p + j, alpha.l), m)
+    if j == -1:
+        return period.c
+    return transfer_matrix(alpha, p, j).apply((period.a, period.c))[0]
+
+
+STRATEGIES = {
+    "rec": lambda alpha, p, n: continuant_rec(alpha, p, n),
+    "oracle": lambda alpha, p, n: continuant_det_oracle(alpha, p, n),
+    "transfer": lambda alpha, p, n: _period_power(alpha, p, n, mat_power_binexp),
+    "closed": lambda alpha, p, n: _closed_form(alpha, p, n),
+    "closed-matpow": lambda alpha, p, n: _closed_form(alpha, p, n, scaled_u_pair_binexp),
+    "matpow": lambda alpha, p, n: _period_power(alpha, p, n, mat_power_cheb),
+}
+
+
+# --- cross-strategy verification --------------------------------------------
+
+
+class _NotApplicable(Exception):
+    """Raised by an identity whose precondition the data does not meet."""
+
+
+_SKIPPED = object()
+
+
+def _recurrence_oracle(alpha, n_max, m_max):
+    for p in range(alpha.base, alpha.base + alpha.l):
+        for n in range(-1, n_max + 1):
+            rec = STRATEGIES["rec"](alpha, p, n)
+            orc = STRATEGIES["oracle"](alpha, p, n)
+            yield None if rec == orc else f"p={p} n={n}: rec={rec} oracle={orc}"
+
+
+def _closed_recurrence(alpha, n_max, m_max):
+    base, l = alpha.base, alpha.l
+    for m in range(m_max + 1):
+        for j in range(-1, l - 1):
+            closed = STRATEGIES["closed"](alpha, base - j, l * m + j)
+            rec = STRATEGIES["rec"](alpha, base - j, l * m + j)
+            yield None if closed == rec else f"m={m} j={j}: closed={closed} rec={rec}"
+
+
+def _shift(alpha, n_max, m_max):
+    for n in range(0, min(n_max, 6) + 1):
+        for m in range(0, n + 1):
+            yield None if shift_check(alpha, alpha.base, n, m) else f"n={n} m={m}"
+
+
+def _trace_det(alpha, n_max, m_max):
+    base = alpha.base
+    for n in range(1, n_max + 1):
+        mat = transfer_matrix(alpha, base, n)
+        bc = alpha.b_at(base + n - 1) * alpha.c_at(base + n - 1)
+        expected = (
+            continuant_rec(alpha, base, n),
+            -(bc * continuant_rec(alpha, base, n - 1)),
+            continuant_rec(alpha, base + 1, n - 1),
+            -(bc * continuant_rec(alpha, base + 1, n - 2)),
+        )
+        det = alpha.one()
+        for i in range(n):
+            det = det * (alpha.b_at(base + i) * alpha.c_at(base + i))
+        trace_ok = mat.trace() == expected[0] + expected[3]
+        ok = (mat.a, mat.b, mat.c, mat.d) == expected and mat.det() == det and trace_ok
+        yield None if ok else f"n={n}"
+
+
+def _cf_quotient(alpha, n_max, m_max):
+    neg_one = -alpha.one()
+    if any(c != neg_one for c in alpha.c):
+        raise _NotApplicable("requires every c = -1")
+    base = alpha.base
+    for n in range(1, n_max + 1):
+        try:
+            quotient = cf_eval(alpha, base, n)
+        except ZeroDivisionError:
+            yield _SKIPPED
+            continue
+        lhs = quotient * continuant_rec(alpha, base + 1, n - 1)
+        yield None if lhs == continuant_rec(alpha, base, n) else f"n={n}"
+
+
+def _matpow_periods(alpha, n_max, m_max):
+    base, l = alpha.base, alpha.l
+    for m in range(m_max + 1):
+        period = transfer_matrix(alpha, base, l)
+        ok = mat_power_cheb(period, m) == transfer_matrix(alpha, base, l * m)
+        yield None if ok else f"m={m}"
+
+
+_IDENTITIES = {
+    "recurrence=oracle": _recurrence_oracle,
+    "closed=recurrence": _closed_recurrence,
+    "shift": _shift,
+    "trace/det": _trace_det,
+    "cf-quotient": _cf_quotient,
+    "matpow-periods": _matpow_periods,
+}
+
+
+def _tally(name: str, cases) -> tuple[str, str, str]:
+    failures = []
+    total = skipped = 0
+    try:
+        for outcome in cases:
+            total += 1
+            if outcome is _SKIPPED:
+                skipped += 1
+            elif outcome is not None:
+                failures.append(outcome)
+    except _NotApplicable as exc:
+        return name, "SKIP", str(exc)
+    if failures:
+        return name, "FAIL", f"{len(failures)}/{total} cases; first: {failures[0]}"
+    if skipped == total:
+        return name, "SKIP", "no applicable cases"
+    return name, "PASS", f"{total} cases" + (f", {skipped} skipped" if skipped else "")
+
+
+def run_verify(alpha: PeriodicAlpha, n_max: int = 8, m_max: int = 4):
+    """Cross-strategy agreement suite; returns (identity, status, detail) rows.
+
+    Each identity yields one outcome per case: ``None`` for a pass, a
+    detail string for a failure, or a skip (the continued-fraction quotient
+    needs every c = -1 and nonvanishing intermediate denominators).
+    """
+    return [_tally(name, identity(alpha, n_max, m_max))
+            for name, identity in _IDENTITIES.items()]

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from continuants import LaurentPoly, ModInt, parse_laurent, q_fibonacci, ring_by_name
+from continuants import LaurentPoly, ModInt, Quaternion, parse_laurent, q_fibonacci, ring_by_name
+from continuants import cli
 from continuants.cli import ConfigError, main, parse_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -77,6 +78,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("ring: rational\n")
 
+    def test_zero_denominator_names_line_and_field(self):
+        text = "ring = rational\nl = 2\np = 1\na = [1, 2]\nb = [1, 1/0]\nc = [1, 1]\n"
+        with pytest.raises(ConfigError, match=r"line 5.*'b'\[1\].*zero denominator"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("modulus", ["4", "9", "561", str(2 ** 89 - 1)])
+    def test_bad_modulus_names_line_and_field(self, modulus):
+        text = f"ring = modint\nl = 1\np = 1\nmodulus = {modulus}\na = [1]\nb = [1]\nc = [1]\n"
+        with pytest.raises(ConfigError, match=r"line 4: field 'modulus': modulus must be"):
+            parse_config(text)
+
 
 class TestSubcommands:
     def test_qfib_prints_polynomial(self, capsys):
@@ -147,6 +159,33 @@ class TestSubcommands:
         assert "error:" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["continuant"])  # missing required flags
+
+    @pytest.mark.parametrize("strategy", ["closed", "rec", "oracle", "matpow"])
+    @pytest.mark.parametrize("opts,message", [
+        (["--m", "2", "--j", "1"], "j must lie in -1..0, got 1"),
+        (["--m", "2", "--j", "-2"], "j must lie in -1..0, got -2"),
+        (["--m", "-1"], "need m >= 0"),
+        (["--m", "-1", "--j", "0"], "need m >= 0"),
+    ], ids=["j-above", "j-below", "m-negative", "m-negative-with-j"])
+    def test_periodic_domain_for_every_strategy(self, tmp_path, capsys, strategy, opts,
+                                                message):
+        cfg = tmp_path / "l2.cfg"
+        cfg.write_text("ring = rational\nl = 2\np = 1\na = [2, 2]\nb = [1, 1]\nc = [-1, -1]\n")
+        assert main(["periodic", "--config", str(cfg), "--strategy", strategy, *opts]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_bench_refuses_composite_modulus(self, capsys):
+        assert main(["bench", "--m-list", "3", "--modulus", "9"]) == 1
+        assert capsys.readouterr().err == "error: modulus must be an odd prime\n"
+
+    def test_quatpow_cross_check_failure_exits_nonzero(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "quat_power_naive", lambda x, n: Quaternion(0, 0, 0, 0))
+        assert main(["quatpow", "--q", "1,2,3,4", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_quatpow_rejects_bad_vector(self, capsys):
         assert main(["quatpow", "--q", "1,2,3", "--n", "2"]) == 1

@@ -12,14 +12,12 @@ from continuants import (
     closed_form_klm_minus1,
     continuant_det_oracle,
     continuant_rec,
-    fixture_l1,
-    fixture_l2,
-    fixture_l3,
     mat_power_cheb,
     period_trace_det,
     q_fibonacci,
     transfer_matrix,
 )
+from periodic_fixtures import fixture_l1, fixture_l2, fixture_l3
 
 FIB = PeriodicAlpha([Fraction(1)], [Fraction(1)], [Fraction(-1)])
 

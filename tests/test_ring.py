@@ -15,6 +15,7 @@ from continuants import (
     ring_one,
     ring_zero,
 )
+from continuants.ring import DEFAULT_MODULUS, MAX_MODULUS, _is_prime
 
 MOD7 = 7
 
@@ -194,6 +195,24 @@ def test_ring_descriptors_parse_and_format():
     assert modint.parse("-1") == ModInt(96, 97)
     with pytest.raises(ValueError):
         ring_by_name("float")
+
+
+def test_modint_ring_refuses_composite_and_unproven_moduli():
+    for modulus in (2, 4, 9, 561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="odd prime"):
+            ring_by_name("modint", modulus)
+    # The smallest strong pseudoprime to all 13 bases is the bound itself.
+    with pytest.raises(ValueError, match="below"):
+        ring_by_name("modint", MAX_MODULUS)
+    for modulus in (3, 97, DEFAULT_MODULUS, 2 ** 31 - 1):
+        assert ring_by_name("modint", modulus).modulus == modulus
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
 
 
 def test_modint_inverse_and_pow():

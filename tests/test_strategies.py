@@ -1,0 +1,53 @@
+import random
+
+import pytest
+
+from conftest import rand_fraction, rand_laurent, rand_modint
+from continuants import PeriodicAlpha, continuant_rec
+from continuants.ring import DEFAULT_MODULUS
+from continuants.strategies import STRATEGIES, split
+
+RINGS = {
+    "rational": rand_fraction,
+    "laurent": rand_laurent,
+    "modint": lambda rng: rand_modint(rng, DEFAULT_MODULUS),
+}
+
+
+def _alphas(ring: str, l: int, seed: int) -> list[PeriodicAlpha]:
+    """Two random alphas with base 2, then one whose period determinant is 0."""
+    rng = random.Random(seed)
+    make = RINGS[ring]
+    row = lambda: [make(rng) for _ in range(l)]
+    alphas = [PeriodicAlpha(row(), row(), row(), base=2) for _ in range(2)]
+    b = row()
+    b[rng.randrange(l)] = b[0] * 0
+    alphas.append(PeriodicAlpha(row(), b, row(), base=2))
+    return alphas
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_every_strategy_equals_the_recurrence(ring, l):
+    for alpha in _alphas(ring, l, seed=1000 * l + len(ring)):
+        for p in range(alpha.base, alpha.base + l + 1):
+            for n in range(-1, 3 * l + 3):
+                expected = continuant_rec(alpha, p, n)
+                for name, strategy in STRATEGIES.items():
+                    assert strategy(alpha, p, n) == expected, (name, alpha, p, n)
+
+
+def test_table_names():
+    assert list(STRATEGIES) == ["rec", "oracle", "transfer", "closed",
+                                "closed-matpow", "matpow"]
+
+
+def test_split_covers_the_offset_domain():
+    for l in (1, 2, 3, 4):
+        for n in range(-1, 5 * l):
+            m, j = split(l, n)
+            assert l * m + j == n and m >= 0 and -1 <= j <= l - 2
+    for name, strategy in STRATEGIES.items():
+        with pytest.raises(ValueError, match="n >= -1"):
+            strategy(_alphas("rational", 2, 0)[0], 1, -2)
+
