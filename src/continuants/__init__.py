@@ -15,6 +15,7 @@ from .chebyshev import (
     u_genfun_coeff,
 )
 from .continuant import (
+    ORACLE_MAX_N,
     PeriodicAlpha,
     cf_eval,
     continuant_det_oracle,
@@ -60,7 +61,7 @@ __all__ = [
     "BenchReport", "run_bench",
     "complete_homogeneous", "pieri_check", "scaled_u", "u_coeffs",
     "u_coeffs_hypergeometric", "u_genfun_coeff",
-    "PeriodicAlpha", "cf_eval", "continuant_det_oracle",
+    "ORACLE_MAX_N", "PeriodicAlpha", "cf_eval", "continuant_det_oracle",
     "continuant_rec", "det_bareiss", "det_leibniz", "k_vector",
     "shift_check", "transfer_matrix",
     "Mat2", "mat_power_binexp", "mat_power_cheb", "mat_power_naive",

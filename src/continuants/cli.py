@@ -9,6 +9,7 @@ files stay byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
 from dataclasses import dataclass
@@ -132,6 +133,25 @@ def load_config(path: str) -> AlphaConfig:
         return parse_config(fh.read())
 
 
+@contextlib.contextmanager
+def _long_output():
+    """Lift Python's int <-> str digit limit (4300 digits) while printing.
+
+    Exact results can be far longer than the limit.  Handlers enter this
+    only after every input is parsed, because the same limit is what
+    refuses an over-long integer literal in a config or an option.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # older Pythons have no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- subcommand handlers ---------------------------------------------------
 
 
@@ -139,7 +159,8 @@ def _cmd_continuant(args) -> int:
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
     p = args.p if args.p is not None else cfg.p
-    print(cfg.ring_spec().format(STRATEGIES[args.strategy](alpha, p, args.n)))
+    with _long_output():
+        print(cfg.ring_spec().format(STRATEGIES[args.strategy](alpha, p, args.n)))
     return 0
 
 
@@ -155,8 +176,10 @@ def _cmd_periodic(args) -> int:
         raise ValueError("need m >= 0")
     evaluate = lambda name: STRATEGIES[name](alpha, p - j, alpha.l * args.m + j)
     value = evaluate(args.strategy)
-    print(cfg.ring_spec().format(value))
-    if args.verify:
+    with _long_output():
+        print(cfg.ring_spec().format(value))
+        if not args.verify:
+            return 0
         status = 0
         for name in PERIODIC_STRATEGIES:
             other = evaluate(name)
@@ -165,20 +188,21 @@ def _cmd_periodic(args) -> int:
             if not ok:
                 status = 1
         return status
-    return 0
 
 
 def _cmd_qrat(args) -> int:
     digits = cf_digits(args.r, args.s)
     value = q_rational(digits)
-    print(f"digits: {list(digits)}")
-    print(f"numerator: {value.num}")
-    print(f"denominator: {value.den}")
+    with _long_output():
+        print(f"digits: {list(digits)}")
+        print(f"numerator: {value.num}")
+        print(f"denominator: {value.den}")
     return 0
 
 
 def _cmd_qfib(args) -> int:
-    print(q_fibonacci(args.n))
+    with _long_output():
+        print(q_fibonacci(args.n))
     return 0
 
 
@@ -190,12 +214,14 @@ def _cmd_quatpow(args) -> int:
     value = quat_power_cheb(x, args.n)
     if value != quat_power_naive(x, args.n):
         raise ValueError("Chebyshev and naive quaternion powers disagree")
-    print(value)
+    with _long_output():
+        print(value)
     return 0
 
 
 def _cmd_chebyshev(args) -> int:
-    print(u_coeffs(args.n))
+    with _long_output():
+        print(u_coeffs(args.n))
     return 0
 
 

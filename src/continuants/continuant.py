@@ -21,7 +21,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .mat2 import Mat2
-from .ring import exact_div, field_div, ring_one, ring_zero
+from .ring import _modint_modulus, _modint_recurrence, exact_div, field_div, ring_one, ring_zero
 
 
 class PeriodicAlpha:
@@ -92,9 +92,20 @@ def continuant_rec(alpha: PeriodicAlpha, p: int, n: int):
 
     Runs bottom-up over decreasing base shifts: with K_j denoting
     K_j(base p + n - j), each step is K_j = a*K_{j-1} - b*c*K_{j-2}.
+    ``ModInt`` data of one modulus runs the same steps on plain ints.
     """
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
+    modulus = _modint_modulus(alpha.a + alpha.b + alpha.c)
+    if modulus is not None:
+        # Step j reads index p + n - j: walk the period backwards from p + n - 1.
+        top = p + n - 1 - alpha.base
+        order = [(top - i) % alpha.l for i in range(alpha.l)]
+        k, km1 = _modint_recurrence(
+            [alpha.a[i].value for i in order],
+            [alpha.b[i].value * alpha.c[i].value % modulus for i in order],
+            modulus, max(n, 0), 4)  # a*K, b*c, bc*K', subtraction
+        return k if n >= 0 else km1
     km1 = alpha.zero()  # K_{-1}
     k = alpha.one()     # K_0
     for j in range(1, n + 1):
@@ -203,10 +214,17 @@ def det_leibniz(rows: list[list]):
     return total
 
 
+#: Largest n the dense oracle accepts.  It builds n*n cells and runs O(n^3)
+#: ring operations: n = 500 takes seconds, n = 10^5 would need 10^10 cells.
+ORACLE_MAX_N = 500
+
+
 def continuant_det_oracle(alpha: PeriodicAlpha, p: int, n: int):
-    """K_n as a Bareiss determinant of the materialized matrix."""
+    """K_n as a Bareiss determinant of the materialized matrix, n <= ORACLE_MAX_N."""
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"the dense oracle refuses n = {n} > ORACLE_MAX_N = {ORACLE_MAX_N}")
     if n == -1:
         return alpha.zero()
     if n == 0:

@@ -8,6 +8,10 @@ Three interchangeable exact rings back everything in this package:
 * modular integers for benchmarking (``ModInt``, prime modulus below
   ``MAX_MODULUS``, checked by deterministic Miller-Rabin).
 
+Three-term recurrences over ``ModInt`` coefficients of one modulus run in
+``_modint_recurrence`` on plain ints; it charges the ``ModInt`` op counter
+what the object loop it replaces would have counted.
+
 ``LaurentFraction`` is the fraction field of ``LaurentPoly``: a normalized
 numerator/denominator pair.  Normalization is by integer content, a power
 of ``q`` (lowest denominator exponent becomes 0) and the denominator's
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import cycle, islice
 
 Rational = Fraction
 
@@ -386,7 +391,7 @@ class ModInt:
             raise ZeroDivisionError("ModInt division by zero")
         global _modint_ops
         _modint_ops += 1
-        return ModInt(self.value * pow(v, self.modulus - 2, self.modulus), self.modulus)
+        return ModInt(self.value * pow(v, -1, self.modulus), self.modulus)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -410,6 +415,34 @@ class ModInt:
 
     def __repr__(self):
         return f"ModInt({self.value}, mod={self.modulus})"
+
+
+def _modint_modulus(values) -> int | None:
+    """The modulus shared by ``values`` when all are ``ModInt``s of one
+    modulus, else None (the caller then keeps its ring-generic loop)."""
+    modulus = None
+    for v in values:
+        if not isinstance(v, ModInt) or modulus not in (None, v.modulus):
+            return None
+        modulus = v.modulus
+    return modulus
+
+
+def _modint_recurrence(a, e, modulus: int, steps: int, ops_per_step: int):
+    """(x_steps, x_{steps-1}) for x_k = a_k x_{k-1} - e_k x_{k-2} mod ``modulus``.
+
+    Starts from x_{-1} = 0, x_0 = 1; step k >= 1 takes ``a[(k-1) % l]`` and
+    ``e[(k-1) % l]`` from the period-l int tables.  The loop runs on plain
+    ints and wraps only its result into ``ModInt``.  It charges the op
+    counter ``ops_per_step`` per step: the ``ModInt`` operations the object
+    loop it stands in for performs per step.
+    """
+    global _modint_ops
+    _modint_ops += ops_per_step * steps
+    prev, cur = 0, 1
+    for ak, ek in islice(cycle(zip(a, e)), steps):
+        prev, cur = cur, (ak * cur - ek * prev) % modulus
+    return ModInt(cur, modulus), ModInt(prev, modulus)
 
 
 class LaurentFraction:
@@ -665,7 +698,7 @@ def _is_prime(n: int) -> bool:
 
 class ModIntRing:
     def __init__(self, modulus: int = DEFAULT_MODULUS):
-        # Inverses use Fermat's little theorem, which needs a prime modulus.
+        # Division needs a prime modulus: every nonzero residue is a unit.
         if modulus >= MAX_MODULUS:
             raise ValueError(f"modulus must be below {MAX_MODULUS}")
         if modulus == 2 or not _is_prime(modulus):

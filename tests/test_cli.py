@@ -1,12 +1,22 @@
 import glob
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
-from continuants import LaurentPoly, ModInt, Quaternion, parse_laurent, q_fibonacci, ring_by_name
-from continuants import cli
-from continuants.cli import ConfigError, main, parse_config
+from continuants import (
+    ORACLE_MAX_N,
+    LaurentPoly,
+    ModInt,
+    Quaternion,
+    continuant_rec,
+    parse_laurent,
+    q_fibonacci,
+    ring_by_name,
+)
+from continuants import cli, continuant
+from continuants.cli import ConfigError, load_config, main, parse_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.cfg")))
@@ -190,6 +200,46 @@ class TestSubcommands:
     def test_quatpow_rejects_bad_vector(self, capsys):
         assert main(["quatpow", "--q", "1,2,3", "--n", "2"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_prints_values_beyond_the_int_str_digit_limit(self, capsys):
+        cfg = os.path.join(REPO, "configs", "rational_l2_basic.cfg")
+        limit = sys.get_int_max_str_digits()
+        assert main(["continuant", "--config", cfg, "--n", "20000",
+                     "--strategy", "transfer"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        expected = continuant_rec(load_config(cfg).to_alpha(), 1, 20000)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{expected}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(out) > limit
+
+    def test_over_long_input_literal_still_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(FIB_CFG.replace("a = [1]", "a = [" + "7" * 5000 + "]"))
+        assert main(["continuant", "--config", str(cfg), "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 4: field 'a'[0]: Exceeds the limit")
+
+    @pytest.mark.parametrize("argv", [
+        ["continuant", "--n", "100000", "--strategy", "oracle"],
+        ["continuant", "--n", str(ORACLE_MAX_N + 1), "--strategy", "oracle"],
+        ["periodic", "--m", "200", "--strategy", "oracle"],
+        ["periodic", "--m", "200", "--verify"],
+    ], ids=["continuant-1e5", "continuant-bound", "periodic", "periodic-verify"])
+    def test_dense_oracle_refuses_large_n(self, argv, monkeypatch, capsys):
+        def no_matrix(alpha, p, n):  # n = 10^5 would need 10^10 cells
+            raise AssertionError(f"dense oracle matrix built at n = {n}")
+
+        monkeypatch.setattr(continuant, "tridiagonal_matrix", no_matrix)
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the dense oracle refuses n = ")
+        assert f"ORACLE_MAX_N = {ORACLE_MAX_N}" in err
 
 
 class TestVerifyFixtures:

@@ -5,6 +5,10 @@
 every strategy, ``periodic`` for every strategy with and without each
 in-domain ``--j``, ``periodic --verify`` and ``verify``.
 
+``tests/golden/bench.json`` holds ``bench --csv`` for every ``modint``
+config with the ``ns`` column masked, so it pins the digests and the
+ring-op counts of every bench strategy.
+
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -54,6 +58,20 @@ def record(path: str) -> dict:
             for cmd in golden_commands(l)}
 
 
+BENCH_GOLDEN = os.path.join(GOLDEN, "bench.json")
+BENCH_M_LIST = "0,1,7,300"
+MODINT_CONFIGS = [p for p in CONFIGS if os.path.basename(p).startswith("modint_")]
+
+
+def record_bench(path: str) -> list:
+    """``bench --csv`` on ``path`` with the timing column replaced by ``-``."""
+    code, out, err = run_cli(["bench", "--config", path, "--m-list", BENCH_M_LIST, "--csv"])
+    rows = [line.split(",") for line in out.splitlines()]
+    for row in rows[1:]:
+        row[3] = "-"
+    return [code, "".join(",".join(row) + "\n" for row in rows), err]
+
+
 def golden_path(path: str) -> str:
     return os.path.join(GOLDEN, os.path.basename(path)[:-len(".cfg")] + ".json")
 
@@ -68,11 +86,24 @@ def test_cli_output_matches_golden(path):
     assert not diffs, [(cmd, expected[cmd], actual[cmd]) for cmd in diffs[:3]]
 
 
+@pytest.mark.parametrize("path", MODINT_CONFIGS,
+                         ids=[os.path.basename(p) for p in MODINT_CONFIGS])
+def test_bench_output_matches_golden(path):
+    with open(BENCH_GOLDEN, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert record_bench(path) == expected[os.path.basename(path)]
+
+
+def write_golden(path: str, rows: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                    for k, v in rows.items()) + "\n}\n")
+    print(f"{path}: {len(rows)} entries")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     os.makedirs(GOLDEN, exist_ok=True)
     for cfg in CONFIGS:
-        rows = record(cfg)
-        with open(golden_path(cfg), "w", encoding="utf-8") as fh:
-            fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
-                                        for k, v in rows.items()) + "\n}\n")
-        print(f"{golden_path(cfg)}: {len(rows)} commands")
+        write_golden(golden_path(cfg), record(cfg))
+    write_golden(BENCH_GOLDEN, {os.path.basename(cfg): record_bench(cfg)
+                                for cfg in MODINT_CONFIGS})

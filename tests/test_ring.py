@@ -15,7 +15,13 @@ from continuants import (
     ring_one,
     ring_zero,
 )
-from continuants.ring import DEFAULT_MODULUS, MAX_MODULUS, _is_prime
+from continuants.ring import (
+    DEFAULT_MODULUS,
+    MAX_MODULUS,
+    _is_prime,
+    modint_ops,
+    reset_modint_ops,
+)
 
 MOD7 = 7
 
@@ -219,3 +225,16 @@ def test_modint_inverse_and_pow():
     for v in range(1, 7):
         assert ModInt(v, 7) / ModInt(v, 7) == ModInt(1, 7)
     assert ModInt(3, 7) ** 6 == ModInt(1, 7)
+
+
+@pytest.mark.parametrize("modulus", [7, 97, 1_000_000_007, DEFAULT_MODULUS])
+def test_modint_division_matches_fermat_inverse(modulus):
+    rng = random.Random(modulus)
+    for _ in range(200):
+        x, v = rng.randrange(modulus), rng.randrange(1, modulus)
+        reset_modint_ops()
+        quotient = ModInt(x, modulus) / ModInt(v, modulus)
+        assert modint_ops() == 1
+        assert quotient == ModInt(x * pow(v, modulus - 2, modulus), modulus)
+    with pytest.raises(ZeroDivisionError):
+        ModInt(1, modulus) / ModInt(modulus, modulus)
