@@ -10,27 +10,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .bench import render_table, run_bench
-from .chebyshev import u_coeffs
-from .continuant import PeriodicAlpha
-from .periodic import check_offset
-from .qrational import cf_digits, q_fibonacci, q_rational
-from .quaternion import Quaternion, quat_power_cheb, quat_power_naive
 from .ring import DEFAULT_MODULUS, ModInt, ring_by_name
-from .strategies import STRATEGIES, run_verify
+
+# Each subcommand handler imports the library modules it runs when it runs,
+# so a command loads only those (tests/test_startup.py pins the sets).
+# Handlers read the names off their modules at call time, so rebinding a
+# library function in its module reaches the CLI too.
 
 
 class ConfigError(ValueError):
     """Raised for malformed config files; the message names line and field."""
 
 
-@dataclass
-class AlphaConfig:
+class AlphaConfig(NamedTuple):
     """Parsed coefficient config: ring name, period, base and raw arrays."""
 
     ring: str
@@ -45,6 +41,8 @@ class AlphaConfig:
         return ring_by_name(self.ring, self.modulus)
 
     def to_alpha(self) -> PeriodicAlpha:
+        from .continuant import PeriodicAlpha
+
         spec = self.ring_spec()
         parsed = {}
         for field in ("a", "b", "c"):
@@ -156,6 +154,8 @@ def _long_output():
 
 
 def _cmd_continuant(args) -> int:
+    from .strategies import STRATEGIES
+
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
     p = args.p if args.p is not None else cfg.p
@@ -165,6 +165,9 @@ def _cmd_continuant(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
+    from .periodic import check_offset
+    from .strategies import STRATEGIES
+
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
     p = args.p if args.p is not None else cfg.p
@@ -182,7 +185,7 @@ def _cmd_periodic(args) -> int:
             return 0
         status = 0
         for name in PERIODIC_STRATEGIES:
-            other = evaluate(name)
+            other = value if name == args.strategy else evaluate(name)
             ok = other == value
             print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.ring_spec().format(other)}")
             if not ok:
@@ -191,6 +194,8 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_qrat(args) -> int:
+    from .qrational import cf_digits, q_rational
+
     digits = cf_digits(args.r, args.s)
     value = q_rational(digits)
     with _long_output():
@@ -201,12 +206,16 @@ def _cmd_qrat(args) -> int:
 
 
 def _cmd_qfib(args) -> int:
+    from .qrational import q_fibonacci
+
     with _long_output():
         print(q_fibonacci(args.n))
     return 0
 
 
 def _cmd_quatpow(args) -> int:
+    from .quaternion import Quaternion, quat_power_cheb, quat_power_naive
+
     parts = [s.strip() for s in args.q.split(",")]
     if len(parts) != 4:
         raise ValueError("--q expects four comma-separated rationals a,b,c,d")
@@ -220,12 +229,18 @@ def _cmd_quatpow(args) -> int:
 
 
 def _cmd_chebyshev(args) -> int:
+    from .chebyshev import u_coeffs
+
     with _long_output():
         print(u_coeffs(args.n))
     return 0
 
 
 def _random_modint_alpha(l: int, seed: int, modulus: int) -> PeriodicAlpha:
+    import random
+
+    from .continuant import PeriodicAlpha
+
     ring_by_name("modint", modulus)  # refuses a modulus that is not an odd prime
     rng = random.Random(seed)
     mk = lambda: ModInt(rng.randrange(1, 100), modulus)
@@ -234,6 +249,8 @@ def _random_modint_alpha(l: int, seed: int, modulus: int) -> PeriodicAlpha:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import render_table, run_bench
+
     m_list = [int(s) for s in args.m_list.split(",") if s.strip()]
     if args.config:
         cfg = load_config(args.config)
@@ -253,6 +270,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .strategies import run_verify
+
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
     results = run_verify(alpha, n_max=args.n_max, m_max=args.m_max)

@@ -186,11 +186,18 @@ def det_bareiss(rows: list[list]):
     return -result if sign_flip else result
 
 
+#: Largest n ``det_leibniz`` accepts: it enumerates n! permutations, each
+#: with O(n^2) inversion counting, so n = 9 is 362,880 terms.
+LEIBNIZ_MAX_N = 9
+
+
 def det_leibniz(rows: list[list]):
-    """Determinant by the full n!-term Leibniz sum (small-n second oracle)."""
+    """Determinant by the full n!-term Leibniz sum (second oracle, n <= LEIBNIZ_MAX_N)."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix has no ring to supply det = 1")
+    if n > LEIBNIZ_MAX_N:
+        raise ValueError(f"the Leibniz oracle refuses n = {n} > LEIBNIZ_MAX_N = {LEIBNIZ_MAX_N}")
     zero = ring_zero(rows[0][0])
     total = zero
     for perm in permutations(range(n)):

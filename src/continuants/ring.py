@@ -204,6 +204,9 @@ class LaurentPoly:
         return self.terms == o.terms
 
     def __hash__(self):
+        if not self.terms.keys() - {0}:
+            # A constant compares equal to the int it holds, so hashes like it.
+            return hash(self.terms.get(0, 0))
         return hash(tuple(sorted(self.terms.items())))
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -322,7 +325,14 @@ def parse_laurent(text: str) -> LaurentPoly:
 
 
 class ModInt:
-    """Integer residue modulo a fixed odd prime (benchmark ring)."""
+    """Integer residue modulo a fixed odd prime (benchmark ring).
+
+    A ``ModInt`` compares equal to every int of its residue class
+    (``ModInt(3, 7) == 3 == 10``), and those ints hash differently, so no
+    hash can agree with all of them: the hash is consistent among
+    ``ModInt`` values only.  Do not mix ``ModInt`` and int keys in a set
+    or dict.
+    """
 
     __slots__ = ("value", "modulus")
 
@@ -565,9 +575,13 @@ class LaurentFraction:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
-        # Hash only a cross-multiplication invariant: equal fractions in
-        # different written forms must collide.
-        return hash(self.num.is_zero())
+        # The normal form has denominator 1 exactly when the value is a
+        # Laurent polynomial; then hash like it (and like an int constant).
+        # Other equal fractions may differ in written form, so they share
+        # one constant hash.
+        if self.den == LaurentPoly.one():
+            return hash(self.num)
+        return 0
 
     def evaluate(self, x):
         return Fraction(self.num.evaluate(x), self.den.evaluate(x))

@@ -133,6 +133,29 @@ class TestSubcommands:
         assert out.splitlines()[0] == "8"
         assert out.count("PASS") == 4
 
+    @pytest.mark.parametrize("strategy", cli.PERIODIC_STRATEGIES)
+    def test_periodic_verify_evaluates_each_strategy_once(self, tmp_path, capsys,
+                                                          monkeypatch, strategy):
+        from continuants import strategies
+
+        calls = []
+
+        def counted(name, fn):
+            def run(*args):
+                calls.append(name)
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(strategies, "STRATEGIES", {
+            name: counted(name, fn) for name, fn in strategies.STRATEGIES.items()})
+        cfg = tmp_path / "fib.cfg"
+        cfg.write_text(FIB_CFG)
+        assert main(["periodic", "--config", str(cfg), "--m", "5", "--strategy", strategy,
+                     "--verify"]) == 0
+        assert sorted(calls) == sorted(cli.PERIODIC_STRATEGIES)
+        assert capsys.readouterr().out.splitlines() == [
+            "8", "PASS closed = 8", "PASS rec = 8", "PASS oracle = 8", "PASS matpow = 8"]
+
     def test_qrat(self, capsys):
         assert main(["qrat", "--r", "8", "--s", "5"]) == 0
         out = capsys.readouterr().out
@@ -191,7 +214,8 @@ class TestSubcommands:
         assert capsys.readouterr().err == "error: modulus must be an odd prime\n"
 
     def test_quatpow_cross_check_failure_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "quat_power_naive", lambda x, n: Quaternion(0, 0, 0, 0))
+        monkeypatch.setattr("continuants.quaternion.quat_power_naive",
+                            lambda x, n: Quaternion(0, 0, 0, 0))
         assert main(["quatpow", "--q", "1,2,3,4", "--n", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

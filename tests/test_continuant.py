@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_alpha, rand_fraction, rand_laurent
 from continuants import (
+    LEIBNIZ_MAX_N,
     LaurentFraction,
     LaurentPoly,
     Mat2,
@@ -19,6 +20,7 @@ from continuants import (
     shift_check,
     transfer_matrix,
 )
+from continuants import continuant
 from continuants.continuant import tridiagonal_matrix
 
 
@@ -153,6 +155,16 @@ class TestDeterminantOracle:
             n = rng.randint(1, 4)
             rows = [[ModInt(rng.randrange(11), 11) for _ in range(n)] for _ in range(n)]
             assert det_bareiss(rows) == det_leibniz(rows)
+
+    def test_leibniz_refuses_n_above_bound(self, monkeypatch):
+        def no_enumeration(_):
+            raise AssertionError("permutations enumerated before the size guard")
+
+        monkeypatch.setattr(continuant, "permutations", no_enumeration)
+        n = LEIBNIZ_MAX_N + 1
+        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        with pytest.raises(ValueError, match=f"n = {n} > LEIBNIZ_MAX_N = {LEIBNIZ_MAX_N}"):
+            det_leibniz(rows)
 
 
 class TestTransferMatrix:

@@ -238,3 +238,36 @@ def test_modint_division_matches_fermat_inverse(modulus):
         assert quotient == ModInt(x * pow(v, modulus - 2, modulus), modulus)
     with pytest.raises(ZeroDivisionError):
         ModInt(1, modulus) / ModInt(modulus, modulus)
+
+
+def test_equal_values_hash_equal():
+    q = LaurentPoly.q()
+    values = [
+        0, 1, 3, -2, 10,
+        Fraction(0), Fraction(3), Fraction(-2), Fraction(1, 2),
+        LaurentPoly(), LaurentPoly({0: 1}), LaurentPoly({0: 3}), LaurentPoly({0: -2}),
+        q, LaurentPoly({-1: 1, 0: 3}),
+        ModInt(0, 7), ModInt(3, 7), ModInt(10, 7), ModInt(3, 11),
+        LaurentFraction(3), LaurentFraction(LaurentPoly()), LaurentFraction(q * (q + 1), q + 1),
+        LaurentFraction(q + 1, q + 3), LaurentFraction(q * q + 3 * q + 2, q * q + 5 * q + 6),
+    ]
+    equal = [(x, y) for x in values for y in values if x is not y and x == y]
+    # ModInt equals every int of its residue class (3 and 10 mod 7), which
+    # no single hash can match; those are the only pairs left out.
+    modint_int = [(x, y) for x, y in equal if isinstance(x, ModInt) != isinstance(y, ModInt)]
+    assert all(isinstance(x, int) or isinstance(y, int) for x, y in modint_int)
+    assert ModInt(3, 7) == 3 and ModInt(3, 7) == 10 and hash(3) != hash(10)
+    for x, y in equal:
+        if (x, y) not in modint_int:
+            assert hash(x) == hash(y), (x, y)
+    assert len({LaurentPoly({0: 3}), 3, LaurentFraction(3)}) == 1
+    assert len({LaurentPoly(), 0, LaurentFraction(LaurentPoly())}) == 1
+    assert len({ModInt(3, 7), ModInt(10, 7)}) == 1
+
+    rng = random.Random(101)
+    for _ in range(100):
+        p, d = rand_laurent(rng), _nonzero(rng)
+        assert LaurentFraction(p * d, d) == p and hash(LaurentFraction(p * d, d)) == hash(p)
+        x = LaurentFraction(rand_laurent(rng), _nonzero(rng))
+        y = LaurentFraction(_nonzero(rng), _nonzero(rng))
+        assert (x / y) * y == x and hash((x / y) * y) == hash(x)
