@@ -9,15 +9,14 @@ structure, not bignum growth; rational continuants grow exponentially.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import strategies
 from .continuant import PeriodicAlpha
 from .ring import ModInt, modint_ops, reset_modint_ops
 
 
-@dataclass
-class BenchReport:
+class BenchReport(NamedTuple):
     strategy: str
     l: int
     m: int
@@ -33,12 +32,10 @@ STRATEGIES = {name: strategies.STRATEGIES[name]
               for name in ("rec", "transfer", "closed", "closed-matpow")}
 
 
-def run_bench(alpha: PeriodicAlpha, m_list: list[int], p: int | None = None) -> list[BenchReport]:
-    """Evaluate K_{lm} by every strategy for each m; assert digest agreement."""
+def run_bench(alpha: PeriodicAlpha, m_list: list[int]) -> list[BenchReport]:
+    """Evaluate K_{lm} by every strategy for each m; ValueError if digests disagree."""
     if not isinstance(alpha.a[0], ModInt):
         raise TypeError("benchmarks run over the ModInt ring")
-    if p is None:
-        p = alpha.base
     reports: list[BenchReport] = []
     for m in m_list:
         if m < 0:
@@ -47,14 +44,14 @@ def run_bench(alpha: PeriodicAlpha, m_list: list[int], p: int | None = None) -> 
         for name, strategy in STRATEGIES.items():
             reset_modint_ops()
             t0 = time.perf_counter_ns()
-            value = strategy(alpha, p, alpha.l * m)
+            value = strategy(alpha, alpha.base, alpha.l * m)
             elapsed = time.perf_counter_ns() - t0
             reports.append(
                 BenchReport(name, alpha.l, m, elapsed, modint_ops(), value.value)
             )
             digests[name] = value.value
         if len(set(digests.values())) != 1:
-            raise AssertionError(f"strategy digests disagree at m={m}: {digests}")
+            raise ValueError(f"strategy digests disagree at m={m}: {digests}")
     return reports
 
 

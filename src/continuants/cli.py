@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ring import DEFAULT_MODULUS, ModInt, ring_by_name
+from .ring import DEFAULT_MODULUS, LaurentRing, ModInt, ModIntRing, RationalRing, ring_by_name
 
 # Each subcommand handler imports the library modules it runs when it runs,
 # so a command loads only those (tests/test_startup.py pins the sets).
@@ -27,27 +27,21 @@ class ConfigError(ValueError):
 
 
 class AlphaConfig(NamedTuple):
-    """Parsed coefficient config: ring name, period, base and raw arrays."""
+    """Parsed coefficient config: ring name, period, base, the parsed
+    coefficient arrays and the ring descriptor that parsed them."""
 
     ring: str
     l: int
     p: int
-    a: list[str]
-    b: list[str]
-    c: list[str]
-    modulus: int | None = None
-
-    def ring_spec(self):
-        return ring_by_name(self.ring, self.modulus)
+    a: list
+    b: list
+    c: list
+    spec: RationalRing | LaurentRing | ModIntRing
 
     def to_alpha(self) -> PeriodicAlpha:
         from .continuant import PeriodicAlpha
 
-        spec = self.ring_spec()
-        parsed = {}
-        for field in ("a", "b", "c"):
-            parsed[field] = [spec.parse(s) for s in getattr(self, field)]
-        return PeriodicAlpha(parsed["a"], parsed["b"], parsed["c"], base=self.p)
+        return PeriodicAlpha(self.a, self.b, self.c, base=self.p)
 
 
 _REQUIRED_KEYS = ("ring", "l", "p", "a", "b", "c")
@@ -110,20 +104,19 @@ def parse_config(text: str) -> AlphaConfig:
                 f"line {lineno}: field {key!r} has {len(items)} elements, expected l={l}")
         arrays[key] = items
 
-    cfg = AlphaConfig(ring, l, p, arrays["a"], arrays["b"], arrays["c"], modulus)
     try:
-        spec = cfg.ring_spec()
+        spec = ring_by_name(ring, modulus)
     except ValueError as exc:  # only an explicit modulus can be refused
         raise ConfigError(f"line {entries['modulus'][0]}: field 'modulus': {exc}") from None
     for key in ("a", "b", "c"):
         lineno, _ = entries[key]
         for i, item in enumerate(arrays[key]):
             try:
-                spec.parse(item)
+                arrays[key][i] = spec.parse(item)
             except ValueError as exc:
                 raise ConfigError(
                     f"line {lineno}: field {key!r}[{i}]: {exc}") from None
-    return cfg
+    return AlphaConfig(ring, l, p, arrays["a"], arrays["b"], arrays["c"], spec)
 
 
 def load_config(path: str) -> AlphaConfig:
@@ -160,7 +153,7 @@ def _cmd_continuant(args) -> int:
     alpha = cfg.to_alpha()
     p = args.p if args.p is not None else cfg.p
     with _long_output():
-        print(cfg.ring_spec().format(STRATEGIES[args.strategy](alpha, p, args.n)))
+        print(cfg.spec.format(STRATEGIES[args.strategy](alpha, p, args.n)))
     return 0
 
 
@@ -180,14 +173,14 @@ def _cmd_periodic(args) -> int:
     evaluate = lambda name: STRATEGIES[name](alpha, p - j, alpha.l * args.m + j)
     value = evaluate(args.strategy)
     with _long_output():
-        print(cfg.ring_spec().format(value))
+        print(cfg.spec.format(value))
         if not args.verify:
             return 0
         status = 0
         for name in PERIODIC_STRATEGIES:
             other = value if name == args.strategy else evaluate(name)
             ok = other == value
-            print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.ring_spec().format(other)}")
+            print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.spec.format(other)}")
             if not ok:
                 status = 1
         return status

@@ -179,24 +179,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            if len(self.terms) == 1:
-                (e, c), = self.terms.items()
-                if c in (1, -1):
-                    return LaurentPoly({e * k: 1 if c == 1 or k % 2 == 0 else -1})
-            raise ValueError("negative powers only for unit monomials")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -343,6 +325,12 @@ class ModInt:
     def __setattr__(self, name, value):
         raise AttributeError("ModInt is immutable")
 
+    def _result(self, value: int) -> "ModInt":
+        """Every ``ModInt`` operation returns through here: one op charged."""
+        global _modint_ops
+        _modint_ops += 1
+        return ModInt(value, self.modulus)
+
     def _lift(self, other):
         if isinstance(other, ModInt):
             if other.modulus != self.modulus:
@@ -356,9 +344,7 @@ class ModInt:
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        global _modint_ops
-        _modint_ops += 1
-        return ModInt(self.value + v, self.modulus)
+        return self._result(self.value + v)
 
     __radd__ = __add__
 
@@ -366,32 +352,24 @@ class ModInt:
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        global _modint_ops
-        _modint_ops += 1
-        return ModInt(self.value - v, self.modulus)
+        return self._result(self.value - v)
 
     def __rsub__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        global _modint_ops
-        _modint_ops += 1
-        return ModInt(v - self.value, self.modulus)
+        return self._result(v - self.value)
 
     def __mul__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        global _modint_ops
-        _modint_ops += 1
-        return ModInt(self.value * v, self.modulus)
+        return self._result(self.value * v)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        global _modint_ops
-        _modint_ops += 1
-        return ModInt(-self.value, self.modulus)
+        return self._result(-self.value)
 
     def __truediv__(self, other):
         v = self._lift(other)
@@ -399,16 +377,12 @@ class ModInt:
             return NotImplemented
         if v == 0:
             raise ZeroDivisionError("ModInt division by zero")
-        global _modint_ops
-        _modint_ops += 1
-        return ModInt(self.value * pow(v, -1, self.modulus), self.modulus)
+        return self._result(self.value * pow(v, -1, self.modulus))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        global _modint_ops
-        _modint_ops += 1
-        return ModInt(pow(self.value, k, self.modulus), self.modulus)
+        return self._result(pow(self.value, k, self.modulus))
 
     def __eq__(self, other):
         if isinstance(other, ModInt):
@@ -504,14 +478,6 @@ class LaurentFraction:
             return LaurentPoly.constant(x)
         raise TypeError(f"expected LaurentPoly, got {type(x).__name__}")
 
-    @classmethod
-    def zero(cls) -> "LaurentFraction":
-        return cls(LaurentPoly.zero())
-
-    @classmethod
-    def one(cls) -> "LaurentFraction":
-        return cls(LaurentPoly.one())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -598,34 +564,29 @@ class LaurentFraction:
 # --- ring-generic helpers ----------------------------------------------
 
 
+def _ring_constant(x, c: int):
+    """The int ``c`` as an element of the ring that ``x`` lives in."""
+    if isinstance(x, Fraction):
+        return Fraction(c)
+    if isinstance(x, LaurentPoly):
+        return LaurentPoly.constant(c)
+    if isinstance(x, ModInt):
+        return ModInt(c, x.modulus)
+    if isinstance(x, LaurentFraction):
+        return LaurentFraction(c)
+    if isinstance(x, int):
+        return c
+    raise TypeError(f"not a ring element: {type(x).__name__}")
+
+
 def ring_zero(x):
     """The additive identity of the ring that ``x`` lives in."""
-    if isinstance(x, Fraction):
-        return Fraction(0)
-    if isinstance(x, LaurentPoly):
-        return LaurentPoly.zero()
-    if isinstance(x, ModInt):
-        return ModInt(0, x.modulus)
-    if isinstance(x, LaurentFraction):
-        return LaurentFraction.zero()
-    if isinstance(x, int):
-        return 0
-    raise TypeError(f"not a ring element: {type(x).__name__}")
+    return _ring_constant(x, 0)
 
 
 def ring_one(x):
     """The multiplicative identity of the ring that ``x`` lives in."""
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    if isinstance(x, LaurentPoly):
-        return LaurentPoly.one()
-    if isinstance(x, ModInt):
-        return ModInt(1, x.modulus)
-    if isinstance(x, LaurentFraction):
-        return LaurentFraction.one()
-    if isinstance(x, int):
-        return 1
-    raise TypeError(f"not a ring element: {type(x).__name__}")
+    return _ring_constant(x, 1)
 
 
 def field_div(x, y):

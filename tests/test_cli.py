@@ -209,6 +209,27 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_bench_digest_disagreement_is_a_one_line_error(self, monkeypatch, capsys):
+        from continuants import bench
+
+        monkeypatch.setitem(bench.STRATEGIES, "closed", lambda alpha, p, n: ModInt(-1))
+        assert main(["bench", "--l", "2", "--m-list", "3", "--csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: strategy digests disagree at m=3: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_modint_config_checks_its_modulus_once(self, monkeypatch, capsys):
+        from continuants import ring
+
+        checked = []
+        is_prime = ring._is_prime
+        monkeypatch.setattr(ring, "_is_prime", lambda n: checked.append(n) or is_prime(n))
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main(["periodic", "--config", cfg, "--m", "3", "--verify"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+        assert len(checked) == 1
+
     def test_bench_refuses_composite_modulus(self, capsys):
         assert main(["bench", "--m-list", "3", "--modulus", "9"]) == 1
         assert capsys.readouterr().err == "error: modulus must be an odd prime\n"

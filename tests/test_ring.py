@@ -271,3 +271,63 @@ def test_equal_values_hash_equal():
         x = LaurentFraction(rand_laurent(rng), _nonzero(rng))
         y = LaurentFraction(_nonzero(rng), _nonzero(rng))
         assert (x / y) * y == x and hash((x / y) * y) == hash(x)
+
+
+X7, Y7 = ModInt(5, MOD7), ModInt(4, MOD7)
+MODINT_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                    "__neg__", "__truediv__", "__pow__")
+
+
+MODINT_OP_CASES = [
+    ("__add__", lambda: X7 + Y7, 2), ("__add__", lambda: X7 + 4, 2),
+    ("__radd__", lambda: 4 + X7, 2),
+    ("__sub__", lambda: X7 - Y7, 1), ("__sub__", lambda: X7 - 4, 1),
+    ("__rsub__", lambda: 4 - X7, 6),
+    ("__mul__", lambda: X7 * Y7, 6), ("__mul__", lambda: X7 * 4, 6),
+    ("__rmul__", lambda: 4 * X7, 6),
+    ("__neg__", lambda: -X7, 2),
+    ("__truediv__", lambda: X7 / Y7, 3), ("__truediv__", lambda: X7 / 4, 3),
+    ("__pow__", lambda: X7 ** 3, 6),
+]
+
+
+def test_modint_op_cases_cover_every_operator():
+    covered = {operator for operator, _, _ in MODINT_OP_CASES}
+    assert covered == set(MODINT_OPERATORS) and covered <= set(vars(ModInt))
+
+
+@pytest.mark.parametrize("operator,compute,expected", MODINT_OP_CASES,
+                         ids=[case[0] for case in MODINT_OP_CASES])
+def test_each_modint_operator_charges_one_op(operator, compute, expected):
+    reset_modint_ops()
+    assert compute() == ModInt(expected, MOD7)
+    assert modint_ops() == 1
+
+
+@pytest.mark.parametrize("compute,error", [
+    (lambda: X7 + Fraction(1, 2), TypeError),
+    (lambda: Fraction(1, 2) - X7, TypeError),
+    (lambda: X7 * 1.5, TypeError),
+    (lambda: 3 / X7, TypeError),
+    (lambda: X7 ** -1, TypeError),
+    (lambda: X7 ** 1.5, TypeError),
+    (lambda: X7 / ModInt(0, MOD7), ZeroDivisionError),
+    (lambda: X7 / 14, ZeroDivisionError),
+    (lambda: X7 + ModInt(1, 11), ValueError),
+    (lambda: X7 - ModInt(1, 11), ValueError),
+    (lambda: X7 * ModInt(1, 11), ValueError),
+    (lambda: X7 / ModInt(1, 11), ValueError),
+])
+def test_failed_modint_operations_charge_nothing(compute, error):
+    reset_modint_ops()
+    with pytest.raises(error):
+        compute()
+    assert modint_ops() == 0
+
+
+def test_modint_comparison_hash_and_text_charge_nothing():
+    reset_modint_ops()
+    assert X7.__add__("5") is NotImplemented and X7.__pow__(-1) is NotImplemented
+    assert X7 != Y7 and X7 == 12 and hash(X7) == hash(ModInt(12, MOD7))
+    assert (str(X7), repr(X7)) == ("5", "ModInt(5, mod=7)")
+    assert modint_ops() == 0

@@ -63,6 +63,12 @@ def test_modint_commands_skip_unused_modules(argv):
     assert not loaded & UNUSED
 
 
+def test_modint_bench_skips_dataclasses():
+    loaded = loaded_after("bench", "--config", MODINT_CFG, "--m-list", "3", "--csv")
+    assert "continuants.bench" in loaded
+    assert "dataclasses" not in loaded
+
+
 def test_all_resolves_name_by_name():
     probe = """\
 import sys

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_fraction, rand_laurent, rand_modint
 from continuants import PeriodicAlpha, continuant_rec
@@ -35,6 +37,29 @@ def test_every_strategy_equals_the_recurrence(ring, l):
                 expected = continuant_rec(alpha, p, n)
                 for name, strategy in STRATEGIES.items():
                     assert strategy(alpha, p, n) == expected, (name, alpha, p, n)
+
+
+# Small rationals with zero entries, so singular periods (d = 0) and zero
+# pivots in the oracle's elimination occur.
+ENTRY = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def periodic_data(draw):
+    l = draw(st.integers(1, 4))
+    row = st.lists(ENTRY, min_size=l, max_size=l)
+    alpha = PeriodicAlpha(draw(row), draw(row), draw(row), base=draw(st.integers(-2, 2)))
+    return alpha, draw(st.integers(-3, 6))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(periodic_data())
+def test_every_strategy_equals_the_recurrence_on_drawn_data(data):
+    alpha, p = data
+    for n in range(-1, 4 * alpha.l + 3):
+        expected = continuant_rec(alpha, p, n)
+        for name, strategy in STRATEGIES.items():
+            assert strategy(alpha, p, n) == expected, (name, n)
 
 
 def test_table_names():
