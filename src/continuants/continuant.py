@@ -17,6 +17,7 @@ c_p..c_{p+n-2}, extended by K_{-1} = 0, K_0 = 1.  Four routes compute it:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import permutations
 from typing import NamedTuple
 
@@ -24,7 +25,7 @@ from .mat2 import Mat2
 from .ring import _modint_modulus, _modint_recurrence, exact_div, field_div, ring_one, ring_zero
 
 
-class PeriodicAlpha:
+class PeriodicAlpha(namedtuple("PeriodicAlpha", "a b c base l")):
     """Period-l triple of coefficient arrays with a base index.
 
     Lookups wrap: ``a_at(m)`` returns ``a[(m - base) % l]``, so the
@@ -33,20 +34,16 @@ class PeriodicAlpha:
     left by one (see :meth:`rotated`).
     """
 
-    __slots__ = ("l", "a", "b", "c", "base")
+    __slots__ = ()
 
-    def __init__(self, a, b, c, base: int = 1):
+    def __new__(cls, a, b, c, base: int = 1):
         a, b, c = tuple(a), tuple(b), tuple(c)
         if not a or len(a) != len(b) or len(a) != len(c):
             raise ValueError("a, b, c must be nonempty lists of equal length")
-        object.__setattr__(self, "l", len(a))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "base", base)
+        return super().__new__(cls, a, b, c, base, len(a))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodicAlpha is immutable")
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[:4]
 
     def a_at(self, m: int):
         return self.a[(m - self.base) % self.l]
@@ -68,12 +65,6 @@ class PeriodicAlpha:
 
     def zero(self):
         return ring_zero(self.a[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, PeriodicAlpha):
-            return NotImplemented
-        return (self.l, self.a, self.b, self.c, self.base) == (
-            other.l, other.a, other.b, other.c, other.base)
 
     def __repr__(self):
         return (f"PeriodicAlpha(a={list(self.a)}, b={list(self.b)}, "

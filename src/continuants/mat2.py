@@ -8,23 +8,19 @@ matrices, where A^m = (tr A)^{m-1} * A.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .chebyshev import scaled_u_pair
 from .ring import ring_one, ring_zero
 
 
-class Mat2:
+class Mat2(NamedTuple):
     """Row-major 2x2 matrix; entries must share one ring."""
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
+    a: object
+    b: object
+    c: object
+    d: object
 
     @staticmethod
     def identity_like(sample) -> "Mat2":
@@ -43,18 +39,8 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+    def __rmul__(self, other):
+        return NotImplemented  # no tuple repetition; ``scale`` multiplies by k
 
     def scale(self, k) -> "Mat2":
         return Mat2(k * self.a, k * self.b, k * self.c, k * self.d)

@@ -22,7 +22,6 @@ a closed form through scaled Chebyshev values of t = 1 + q + q^-1, d = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebyshev import scaled_u, scaled_u_pair
@@ -32,29 +31,23 @@ from .ring import LaurentFraction, LaurentPoly
 QRational = LaurentFraction
 
 
-@dataclass(frozen=True)
-class CFDigits:
-    """Even-length list of positive continued-fraction digits."""
+class CFDigits(tuple):
+    """Even-length tuple of positive continued-fraction digits."""
 
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) % 2 != 0 or not self.digits:
+    def __new__(cls, digits):
+        self = super().__new__(cls, digits)
+        if len(self) % 2 != 0 or not self:
             raise ValueError("digit list must be nonempty and of even length")
-        if any(not isinstance(d, int) or d <= 0 for d in self.digits):
+        if any(not isinstance(d, int) or d <= 0 for d in self):
             raise ValueError("all digits must be positive integers")
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
+        return self
 
     def value(self) -> Fraction:
         """The classical rational these digits expand."""
-        val = Fraction(self.digits[-1])
-        for d in reversed(self.digits[:-1]):
+        val = Fraction(self[-1])
+        for d in reversed(self[:-1]):
             val = d + 1 / val
         return val
 
@@ -92,7 +85,7 @@ def cf_digits(r: int, s: int) -> CFDigits:
             # Only r/s = 1 ends here: its expansion [1] admits no
             # even-length all-positive rewriting.
             raise ValueError("1/1 has no even-length expansion with positive digits")
-    return CFDigits(tuple(digits))
+    return CFDigits(digits)
 
 
 def mgo_alpha(digits: CFDigits) -> PeriodicAlpha:
@@ -114,7 +107,7 @@ def mgo_alpha(digits: CFDigits) -> PeriodicAlpha:
 def q_rational(digits: CFDigits) -> QRational:
     """[r/s]_q as a normalized continuant quotient K_{2n}(1) / K_{2n-1}(2)."""
     if not isinstance(digits, CFDigits):
-        digits = CFDigits(tuple(digits))
+        digits = CFDigits(digits)
     alpha = mgo_alpha(digits)
     n2 = len(digits)
     num = continuant_rec(alpha, 1, n2)
@@ -126,17 +119,13 @@ def q_fibonacci(n: int) -> LaurentPoly:
     """F_n(q) by the parity-split recurrence; F_1 = F_2 = 1, F_3 = 1 + q."""
     if n < 1:
         raise ValueError("q-Fibonacci numbers start at n = 1")
-    q = LaurentPoly.q()
-    qinv = LaurentPoly.monomial(1, -1)
     f_prev = LaurentPoly.one()  # F_1
     if n == 1:
         return f_prev
     f_cur = LaurentPoly.one()  # F_2
     for k in range(3, n + 1):
-        if k % 2 == 1:
-            f_prev, f_cur = f_cur, f_cur + q * f_prev
-        else:
-            f_prev, f_cur = f_cur, f_cur + qinv * f_prev
+        # q * F_{k-2} at odd k, q^-1 * F_{k-2} at even k.
+        f_prev, f_cur = f_cur, f_cur + f_prev.shift(1 if k % 2 == 1 else -1)
     return f_cur
 
 

@@ -12,26 +12,20 @@ is the repeated-multiplication oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chebyshev import scaled_u_pair
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(namedtuple("Quaternion", "a b c d")):
     """a + b*i + c*j + d*k with exact rational components."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+    def __new__(cls, a, b, c, d):
+        return super().__new__(cls, *(v if isinstance(v, Fraction) else Fraction(v)
+                                      for v in (a, b, c, d)))
 
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
@@ -43,6 +37,12 @@ class Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
         return quat_mul(self, other)
+
+    def __add__(self, other):
+        return NotImplemented  # no tuple concatenation
+
+    def __rmul__(self, other):
+        return NotImplemented  # no tuple repetition
 
     def __str__(self):
         return f"{self.a},{self.b},{self.c},{self.d}"

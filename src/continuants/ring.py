@@ -52,8 +52,9 @@ def modint_ops() -> int:
 class LaurentPoly:
     """Finitely supported map from integer exponents to integer coefficients.
 
-    The zero polynomial has an empty term map; stored coefficients are
-    never zero.  Instances are immutable by convention.
+    The zero polynomial has an empty term map.  ``__init__`` is the one
+    place that drops zero coefficients, so stored ones are never zero and
+    arithmetic may hand it cancelled terms.
     """
 
     __slots__ = ("terms",)
@@ -138,11 +139,7 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            terms[e] = terms.get(e, 0) + c
         return LaurentPoly(terms)
 
     __radd__ = __add__
@@ -170,11 +167,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = e1 + e2
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return LaurentPoly(terms)
 
     __rmul__ = __mul__
@@ -225,7 +218,7 @@ class LaurentPoly:
                     rem[k + i] -= qc * dc
         if any(rem):
             raise ValueError("not divisible: nonzero remainder")
-        return LaurentPoly({k + ns - ds: c for k, c in enumerate(quot) if c})
+        return LaurentPoly({k + ns - ds: c for k, c in enumerate(quot)})
 
     def evaluate(self, x):
         """Evaluate at a numeric value of q (Fraction, int or float)."""

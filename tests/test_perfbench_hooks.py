@@ -38,3 +38,23 @@ def test_tracer_wraps_the_library_and_restores_it(monkeypatch):
         tracer.uninstall()
     assert cli.parse_config is parse_config
     assert _namespaces() == before
+
+
+def test_tracer_wraps_scaled_u_pair_in_every_module_that_imports_it(monkeypatch):
+    # ``from .chebyshev import scaled_u_pair`` binds the name once per
+    # module; a module that stops importing it drops out of the S_m spans.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import layers
+    from continuants import chebyshev, mat2, periodic, qrational, quaternion
+
+    holders = (chebyshev, mat2, periodic, qrational, quaternion)
+    original = chebyshev.scaled_u_pair
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        for module in holders:
+            assert module.scaled_u_pair.__wrapped__ is original, module.__name__
+    finally:
+        tracer.uninstall()
+    for module in holders:
+        assert module.scaled_u_pair is original, module.__name__

@@ -1,0 +1,63 @@
+"""Immutable records are tuples whose constructor sets up every invariant.
+
+A record compares and hashes equal to the plain tuple of its fields, and
+copies and pickles to an equal record.  Its fields cannot be reassigned,
+and tuple concatenation and repetition do not leak into the arithmetic of
+matrices and quaternions.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from continuants import CFDigits, LaurentPoly, Mat2, PeriodicAlpha, Quaternion
+
+Q = Quaternion(1, 2, 3, 4)
+M = Mat2(1, 2, 3, 4)
+ALPHA = PeriodicAlpha([1, 2], [3, 4], [5, 6], base=0)
+
+RECORDS = {
+    "mat2": lambda: Mat2(1, 2, 3, 4),
+    "periodic-alpha": lambda: PeriodicAlpha([1, 2], [3, 4], [5, 6], base=0),
+    "quaternion": lambda: Quaternion(1, 2, 3, 4),
+    "cf-digits": lambda: CFDigits([2, 3, 1, 4]),
+}
+
+REFUSED = {
+    "mat2-field": (lambda: setattr(M, "a", 0), AttributeError, None),
+    "periodic-alpha-field": (lambda: setattr(ALPHA, "base", 1), AttributeError, None),
+    "quaternion-field": (lambda: setattr(Q, "d", 0), AttributeError, None),
+    "2*q": (lambda: 2 * Q, TypeError, "unsupported operand"),
+    "q+q": (lambda: Q + Q, TypeError, "unsupported operand"),
+    "3*m": (lambda: 3 * M, TypeError, "unsupported operand"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_equal_records_hash_equal(name):
+    x, y = RECORDS[name](), RECORDS[name]()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x == tuple(x) and hash(x) == hash(tuple(x))
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(clone) is type(x) and clone == x
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_records_refuse_assignment_and_tuple_arithmetic(name):
+    op, exc, match = REFUSED[name]
+    with pytest.raises(exc, match=match):
+        op()
+
+
+def test_quaternion_components_become_fractions():
+    x = Quaternion(1, 0.5, "1/3", 2)
+    assert [type(v) for v in x] == [Fraction] * 4
+    assert x == (1, Fraction(1, 2), Fraction(1, 3), 2)
+
+
+def test_laurent_cancellation_stores_no_zero_coefficient():
+    q = LaurentPoly.q()
+    assert ((1 + q) * (1 - q)).terms == {0: 1, 2: -1}
+    assert (q + (-q)).terms == {}

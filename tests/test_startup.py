@@ -69,6 +69,15 @@ def test_modint_bench_skips_dataclasses():
     assert "dataclasses" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["qrat", "--r", "13", "--s", "5"],
+    ["qfib", "--n", "9"],
+    ["quatpow", "--q", "1,-1/2,2,0", "--n", "5"],
+], ids=lambda argv: argv[0])
+def test_record_commands_skip_dataclasses(argv):
+    assert "dataclasses" not in loaded_after(*argv)
+
+
 def test_all_resolves_name_by_name():
     probe = """\
 import sys
