@@ -25,6 +25,7 @@ _EXPORTS = {
     "qrational": ("CFDigits", "QRational", "cf_digits", "mgo_alpha", "q_fibonacci",
                   "q_fibonacci_closed", "q_integer", "q_rational"),
     "quaternion": ("Quaternion", "quat_mul", "quat_power_cheb", "quat_power_naive"),
+    "strategies": ("VERIFY_MAX",),
     "ring": ("DEFAULT_MODULUS", "LaurentFraction", "LaurentPoly", "ModInt", "Rational",
              "field_div", "parse_laurent", "ring_by_name", "ring_one", "ring_zero"),
 }

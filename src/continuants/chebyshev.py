@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import _modint_modulus, _modint_recurrence, ring_one, ring_zero
+from .ring import _three_term, ring_one, ring_zero
 
 
 def _trim(coeffs: list) -> list:
@@ -141,20 +141,12 @@ def scaled_u(m: int, t, d):
 
 
 def scaled_u_pair(m: int, t, d):
-    """(S_m, S_{m-1}) in one pass; ``ModInt`` t and d of one modulus run
-    the same steps on plain ints."""
+    """(S_m, S_{m-1}) in one pass: the continuant with a = t and bc = d."""
     if m < -1:
         raise ValueError("S_m is defined for m >= -1")
-    prev = ring_zero(t)  # S_{-1}
     if m == -1:
-        return prev, None
-    modulus = _modint_modulus((t, d))
-    if modulus is not None:
-        return _modint_recurrence([t.value], [d.value], modulus, m, 3)  # t*S, d*S', subtraction
-    cur = ring_one(t)  # S_0
-    for _ in range(m):
-        prev, cur = cur, t * cur - d * prev
-    return cur, prev
+        return ring_zero(t), None
+    return _three_term([t], [d], [ring_one(d)], m, 3)  # t*S, d*S', subtraction
 
 
 def pieri_check(n: int) -> bool:

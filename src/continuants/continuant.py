@@ -22,7 +22,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .mat2 import Mat2
-from .ring import _modint_modulus, _modint_recurrence, exact_div, field_div, ring_one, ring_zero
+from .ring import _three_term, exact_div, field_div, ring_one, ring_zero
 
 
 class PeriodicAlpha(namedtuple("PeriodicAlpha", "a b c base l")):
@@ -44,6 +44,11 @@ class PeriodicAlpha(namedtuple("PeriodicAlpha", "a b c base l")):
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
         return self[:4]
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` too; l follows the new arrays
+        a, b, c, base, _l = iterable
+        return cls(a, b, c, base)
 
     def a_at(self, m: int):
         return self.a[(m - self.base) % self.l]
@@ -83,25 +88,14 @@ def continuant_rec(alpha: PeriodicAlpha, p: int, n: int):
 
     Runs bottom-up over decreasing base shifts: with K_j denoting
     K_j(base p + n - j), each step is K_j = a*K_{j-1} - b*c*K_{j-2}.
-    ``ModInt`` data of one modulus runs the same steps on plain ints.
     """
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
-    modulus = _modint_modulus(alpha.a + alpha.b + alpha.c)
-    if modulus is not None:
-        # Step j reads index p + n - j: walk the period backwards from p + n - 1.
-        top = p + n - 1 - alpha.base
-        order = [(top - i) % alpha.l for i in range(alpha.l)]
-        k, km1 = _modint_recurrence(
-            [alpha.a[i].value for i in order],
-            [alpha.b[i].value * alpha.c[i].value % modulus for i in order],
-            modulus, max(n, 0), 4)  # a*K, b*c, bc*K', subtraction
-        return k if n >= 0 else km1
-    km1 = alpha.zero()  # K_{-1}
-    k = alpha.one()     # K_0
-    for j in range(1, n + 1):
-        idx = p + n - j
-        km1, k = k, alpha.a_at(idx) * k - alpha.b_at(idx) * alpha.c_at(idx) * km1
+    # Step j reads index p + n - j: walk the period backwards from p + n - 1.
+    top = p + n - 1 - alpha.base
+    backward = lambda xs: [xs[(top - i) % alpha.l] for i in range(alpha.l)]
+    k, km1 = _three_term(backward(alpha.a), backward(alpha.b), backward(alpha.c),
+                         max(n, 0), 4)  # a*K, b*c, bc*K', subtraction
     return k if n >= 0 else km1
 
 
@@ -230,27 +224,18 @@ def continuant_det_oracle(alpha: PeriodicAlpha, p: int, n: int):
     return det_bareiss(tridiagonal_matrix(alpha, p, n))
 
 
-def transfer_factor(alpha: PeriodicAlpha, idx: int) -> Mat2:
-    """The single factor L(a_idx, -b_idx * c_idx) = [[a, -bc], [1, 0]]."""
-    return Mat2(
-        alpha.a_at(idx),
-        -(alpha.b_at(idx) * alpha.c_at(idx)),
-        alpha.one(),
-        alpha.zero(),
-    )
-
-
 def transfer_matrix(alpha: PeriodicAlpha, p: int, n: int) -> Mat2:
-    """Left-to-right product of the n transfer factors starting at index p.
+    """Left-to-right product of the n factors [[a_i, -b_i c_i], [1, 0]], i >= p.
 
     n = 0 yields the identity (empty product), which keeps the shift
     identity uniform at m = 0.
     """
     if n < 0:
         raise ValueError("transfer_matrix needs n >= 0")
-    result = Mat2.identity_like(alpha.a[0])
-    for i in range(n):
-        result = result * transfer_factor(alpha, p + i)
+    one, zero = alpha.one(), alpha.zero()
+    result = Mat2(one, zero, zero, one)
+    for i in range(p, p + n):
+        result = result * Mat2(alpha.a_at(i), -(alpha.b_at(i) * alpha.c_at(i)), one, zero)
     return result
 
 

@@ -40,20 +40,10 @@ class Mat2(NamedTuple):
         )
 
     def __rmul__(self, other):
-        return NotImplemented  # no tuple repetition; ``scale`` multiplies by k
-
-    def scale(self, k) -> "Mat2":
-        return Mat2(k * self.a, k * self.b, k * self.c, k * self.d)
+        return NotImplemented  # no tuple repetition
 
     def __add__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        return NotImplemented  # no tuple concatenation
 
     def trace(self):
         return self.a + self.d
@@ -119,5 +109,5 @@ def mat_power_cheb(a: Mat2, m: int) -> Mat2:
     t = a.trace()
     d = a.det()
     s1, s2 = scaled_u_pair(m - 1, t, d)  # S_{m-1}, S_{m-2}
-    ident = Mat2.identity_like(a.a)
-    return a.scale(s1) - ident.scale(d * s2)
+    ds2 = d * s2
+    return Mat2(s1 * a.a - ds2, s1 * a.b, s1 * a.c, s1 * a.d - ds2)

@@ -27,6 +27,10 @@ class Quaternion(namedtuple("Quaternion", "a b c d")):
         return super().__new__(cls, *(v if isinstance(v, Fraction) else Fraction(v)
                                       for v in (a, b, c, d)))
 
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` too: components become Fractions
+        return cls(*iterable)
+
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 

@@ -8,9 +8,9 @@ Three interchangeable exact rings back everything in this package:
 * modular integers for benchmarking (``ModInt``, prime modulus below
   ``MAX_MODULUS``, checked by deterministic Miller-Rabin).
 
-Three-term recurrences over ``ModInt`` coefficients of one modulus run in
-``_modint_recurrence`` on plain ints; it charges the ``ModInt`` op counter
-what the object loop it replaces would have counted.
+``_three_term`` is the one three-term recurrence loop, for every ring;
+``ModInt`` tables of one modulus run it on plain ints and charge the
+``ModInt`` op counter what the object loop would have counted.
 
 ``LaurentFraction`` is the fraction field of ``LaurentPoly``: a normalized
 numerator/denominator pair.  Normalization is by integer content, a power
@@ -394,32 +394,30 @@ class ModInt:
         return f"ModInt({self.value}, mod={self.modulus})"
 
 
-def _modint_modulus(values) -> int | None:
-    """The modulus shared by ``values`` when all are ``ModInt``s of one
-    modulus, else None (the caller then keeps its ring-generic loop)."""
-    modulus = None
-    for v in values:
-        if not isinstance(v, ModInt) or modulus not in (None, v.modulus):
-            return None
-        modulus = v.modulus
-    return modulus
+def _three_term(a, b, c, steps: int, ops_per_step: int):
+    """(x_steps, x_{steps-1}) for x_k = a_k x_{k-1} - b_k c_k x_{k-2}, x_{-1} = 0, x_0 = 1.
 
-
-def _modint_recurrence(a, e, modulus: int, steps: int, ops_per_step: int):
-    """(x_steps, x_{steps-1}) for x_k = a_k x_{k-1} - e_k x_{k-2} mod ``modulus``.
-
-    Starts from x_{-1} = 0, x_0 = 1; step k >= 1 takes ``a[(k-1) % l]`` and
-    ``e[(k-1) % l]`` from the period-l int tables.  The loop runs on plain
-    ints and wraps only its result into ``ModInt``.  It charges the op
-    counter ``ops_per_step`` per step: the ``ModInt`` operations the object
-    loop it stands in for performs per step.
+    Step k >= 1 takes entry (k-1) % l of the period-l tables; each b_k c_k is
+    formed once per entry.  ``ModInt`` tables of one modulus run on plain ints
+    and charge the op counter ``ops_per_step`` per step, the ``ModInt`` ops a
+    per-step object loop would count; every other ring runs on its elements.
     """
-    global _modint_ops
-    _modint_ops += ops_per_step * steps
-    prev, cur = 0, 1
+    moduli = {x.modulus if isinstance(x, ModInt) else None for x in (*a, *b, *c)}
+    modulus = moduli.pop() if len(moduli) == 1 else None
+    if modulus is not None:
+        global _modint_ops
+        _modint_ops += ops_per_step * steps
+        a = [x.value for x in a]
+        e = [y.value * z.value % modulus for y, z in zip(b, c)]
+        prev, cur = 0, 1
+        for ak, ek in islice(cycle(zip(a, e)), steps):
+            prev, cur = cur, (ak * cur - ek * prev) % modulus
+        return ModInt(cur, modulus), ModInt(prev, modulus)
+    e = [y * z for y, z in zip(b, c)]
+    prev, cur = ring_zero(a[0]), ring_one(a[0])
     for ak, ek in islice(cycle(zip(a, e)), steps):
-        prev, cur = cur, (ak * cur - ek * prev) % modulus
-    return ModInt(cur, modulus), ModInt(prev, modulus)
+        prev, cur = cur, ak * cur - ek * prev
+    return cur, prev
 
 
 class LaurentFraction:

@@ -170,12 +170,21 @@ def _tally(name: str, cases) -> tuple[str, str, str]:
     return name, "PASS", f"{total} cases" + (f", {skipped} skipped" if skipped else "")
 
 
+#: Largest ``n_max`` and ``m_max`` the suite accepts: its time grows about 8x
+#: per doubling of n_max (the dense oracles) and quadratically in m_max.
+VERIFY_MAX = 64
+
+
 def run_verify(alpha: PeriodicAlpha, n_max: int = 8, m_max: int = 4):
     """Cross-strategy agreement suite; returns (identity, status, detail) rows.
 
     Each identity yields one outcome per case: ``None`` for a pass, a
     detail string for a failure, or a skip (the continued-fraction quotient
     needs every c = -1 and nonvanishing intermediate denominators).
+    ``n_max`` and ``m_max`` above ``VERIFY_MAX`` raise ``ValueError``.
     """
+    for name, value in (("n_max", n_max), ("m_max", m_max)):
+        if value > VERIFY_MAX:
+            raise ValueError(f"verify refuses {name} = {value} > VERIFY_MAX = {VERIFY_MAX}")
     return [_tally(name, identity(alpha, n_max, m_max))
             for name, identity in _IDENTITIES.items()]

@@ -7,6 +7,7 @@ import pytest
 
 from continuants import (
     ORACLE_MAX_N,
+    VERIFY_MAX,
     LaurentPoly,
     ModInt,
     Quaternion,
@@ -15,7 +16,7 @@ from continuants import (
     q_fibonacci,
     ring_by_name,
 )
-from continuants import cli, continuant
+from continuants import cli, continuant, strategies
 from continuants.cli import ConfigError, load_config, main, parse_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -285,6 +286,35 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error: the dense oracle refuses n = ")
         assert f"ORACLE_MAX_N = {ORACLE_MAX_N}" in err
+
+
+    @pytest.mark.parametrize("option", ["--n-max", "--m-max"])
+    def test_verify_refuses_sizes_above_cap(self, option, monkeypatch, capsys):
+        def no_identity(alpha, n_max, m_max):  # the real suite takes seconds here
+            raise AssertionError(f"identity ran at n_max = {n_max}, m_max = {m_max}")
+            yield
+
+        monkeypatch.setattr(strategies, "_IDENTITIES", {"any": no_identity})
+        cfg = os.path.join(REPO, "configs", "rational_l3_basic.cfg")
+        assert main(["verify", "--config", cfg, option, str(VERIFY_MAX + 1)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: verify refuses {option[2:].replace('-', '_')} = "
+                       f"{VERIFY_MAX + 1} > VERIFY_MAX = {VERIFY_MAX}\n")
+
+    def test_verify_accepts_sizes_at_cap(self, monkeypatch, capsys):
+        seen = []
+
+        def record(alpha, n_max, m_max):
+            seen.append((n_max, m_max))
+            yield None
+
+        monkeypatch.setattr(strategies, "_IDENTITIES", {"any": record})
+        cfg = os.path.join(REPO, "configs", "rational_l3_basic.cfg")
+        cap = str(VERIFY_MAX)
+        assert main(["verify", "--config", cfg, "--n-max", cap, "--m-max", cap]) == 0
+        assert seen == [(VERIFY_MAX, VERIFY_MAX)]
+        assert capsys.readouterr().out == "PASS any: 1 cases\n"
 
 
 class TestVerifyFixtures:

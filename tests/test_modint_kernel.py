@@ -1,9 +1,12 @@
-"""The raw-int ModInt kernel behind ``continuant_rec`` and ``scaled_u_pair``.
+"""The three-term loop ``ring._three_term`` behind ``continuant_rec`` and
+``scaled_u_pair``.
 
-The kernel must return what the ring-generic object loop returns and charge
-the ModInt op counter exactly what that loop counts: 4 per recurrence step
-(a*K, b*c, bc*K', the subtraction) and 3 per S step (t*S, d*S', the
-subtraction).  The object loops are restated here as the reference.
+On ``ModInt`` tables of one modulus it runs on raw ints, and must return
+what a per-step object loop returns and charge the ModInt op counter
+exactly what that loop counts: 4 per recurrence step (a*K, b*c, bc*K', the
+subtraction) and 3 per S step (t*S, d*S', the subtraction).  The per-step
+object loops are restated here as the reference.  Every other table runs
+the object loop, which forms each b*c product once per table entry.
 """
 
 import random
@@ -11,7 +14,7 @@ import random
 import pytest
 
 from conftest import rand_modint
-from continuants import ModInt, PeriodicAlpha, continuant_rec
+from continuants import Mat2, ModInt, PeriodicAlpha, continuant_rec, mat_power_cheb, mat_power_naive
 from continuants.chebyshev import scaled_u_pair
 from continuants.ring import DEFAULT_MODULUS, modint_ops, reset_modint_ops
 
@@ -76,6 +79,31 @@ def test_s_pair_modint_with_int_determinant_keeps_object_path():
         value, ops = counted(scaled_u_pair, m, t, 5)
         assert value == object_s_pair(m, t, ModInt(5, DEFAULT_MODULUS))
         assert ops == 3 * m
+
+
+def test_rec_int_c_keeps_object_path_with_one_product_per_entry():
+    # c is a plain int, so the tables run the object loop: the l products
+    # b*c are ModInt ops formed once, then a*K, bc*K' and the subtraction.
+    rng = random.Random(11)
+    for l in (1, 2, 3):
+        alpha = PeriodicAlpha([rand_modint(rng, 97) for _ in range(l)],
+                              [rand_modint(rng, 97) for _ in range(l)],
+                              [rng.randint(-5, 5) for _ in range(l)])
+        for n in (1, 2, 9, 57):
+            value, ops = counted(continuant_rec, alpha, 1, n)
+            assert value == object_rec(alpha, 1, n)
+            assert ops == l + 3 * n
+
+
+@pytest.mark.parametrize("modulus", MODULI)
+def test_mat_power_cheb_op_count(modulus):
+    # trace 1, det 3, S_{m-1} pair 3(m-1), d*S_{m-2} 1, four scalings, two subtractions.
+    rng = random.Random(modulus + 1)
+    mat = Mat2(*(rand_modint(rng, modulus) for _ in range(4)))
+    for m in (1, 2, 3, 57):
+        value, ops = counted(mat_power_cheb, mat, m)
+        assert value == mat_power_naive(mat, m)
+        assert ops == 3 * m + 8
 
 
 def test_rec_int_coefficients_keep_object_path():

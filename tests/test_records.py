@@ -1,9 +1,10 @@
 """Immutable records are tuples whose constructor sets up every invariant.
 
 A record compares and hashes equal to the plain tuple of its fields, and
-copies and pickles to an equal record.  Its fields cannot be reassigned,
-and tuple concatenation and repetition do not leak into the arithmetic of
-matrices and quaternions.
+copies and pickles to an equal record; ``_make`` and ``_replace`` build
+through the constructor too.  Its fields cannot be reassigned, and tuple
+concatenation and repetition do not leak into the arithmetic of matrices
+and quaternions.
 """
 
 import copy
@@ -32,6 +33,9 @@ REFUSED = {
     "2*q": (lambda: 2 * Q, TypeError, "unsupported operand"),
     "q+q": (lambda: Q + Q, TypeError, "unsupported operand"),
     "3*m": (lambda: 3 * M, TypeError, "unsupported operand"),
+    "m+m": (lambda: M + M, TypeError, "unsupported operand"),
+    "m-m": (lambda: M - M, TypeError, "unsupported operand"),
+    "periodic-alpha-replace-uneven": (lambda: ALPHA._replace(a=[1]), ValueError, "equal length"),
 }
 
 
@@ -49,6 +53,16 @@ def test_records_refuse_assignment_and_tuple_arithmetic(name):
     op, exc, match = REFUSED[name]
     with pytest.raises(exc, match=match):
         op()
+
+
+def test_replace_and_make_build_through_the_constructor():
+    alpha = PeriodicAlpha([1], [2], [3])._replace(a=[1, 5], b=[2, 2], c=[3, 3])
+    assert alpha == ((1, 5), (2, 2), (3, 3), 1, 2)
+    assert alpha.a_at(2) == 5
+    assert PeriodicAlpha._make([[1, 2], [3, 4], [5, 6], 0, 2]) == ALPHA
+    for x in (Quaternion._make([1, 2, 3, 4]), Q._replace(b="1/2")):
+        assert [type(v) for v in x] == [Fraction] * 4
+    assert Q._replace(b="1/2") == (1, Fraction(1, 2), 3, 4)
 
 
 def test_quaternion_components_become_fractions():
