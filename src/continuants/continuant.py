@@ -22,10 +22,10 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .mat2 import Mat2
-from .ring import _three_term, exact_div, field_div, ring_one, ring_zero
+from .ring import Record, _three_term, exact_div, field_div, ring_one, ring_zero
 
 
-class PeriodicAlpha(namedtuple("PeriodicAlpha", "a b c base l")):
+class PeriodicAlpha(Record, namedtuple("PeriodicAlpha", "a b c base l")):
     """Period-l triple of coefficient arrays with a base index.
 
     Lookups wrap: ``a_at(m)`` returns ``a[(m - base) % l]``, so the

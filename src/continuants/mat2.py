@@ -8,19 +8,16 @@ matrices, where A^m = (tr A)^{m-1} * A.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .chebyshev import scaled_u_pair
-from .ring import ring_one, ring_zero
+from .ring import Record, ring_one, ring_zero
 
 
-class Mat2(NamedTuple):
+class Mat2(Record, namedtuple("Mat2", "a b c d")):
     """Row-major 2x2 matrix; entries must share one ring."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    __slots__ = ()
 
     @staticmethod
     def identity_like(sample) -> "Mat2":
@@ -38,12 +35,6 @@ class Mat2(NamedTuple):
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __rmul__(self, other):
-        return NotImplemented  # no tuple repetition
-
-    def __add__(self, other):
-        return NotImplemented  # no tuple concatenation
 
     def trace(self):
         return self.a + self.d

@@ -26,12 +26,12 @@ from fractions import Fraction
 
 from .chebyshev import scaled_u, scaled_u_pair
 from .continuant import PeriodicAlpha, continuant_rec
-from .ring import LaurentFraction, LaurentPoly
+from .ring import LaurentFraction, LaurentPoly, Record
 
 QRational = LaurentFraction
 
 
-class CFDigits(tuple):
+class CFDigits(Record):
     """Even-length tuple of positive continued-fraction digits."""
 
     __slots__ = ()

@@ -7,18 +7,23 @@ Cayley-Hamilton power formula never leaves the rationals:
     x^n = (a*S_{n-1} - N*S_{n-2}) + (b*i + c*j + d*k) * S_{n-1},
 
 with S_k = S_k(2a, N) the scaled Chebyshev values.  ``quat_power_naive``
-is the repeated-multiplication oracle.
+is the repeated-multiplication oracle.  It clears denominators once, runs
+the n Hamilton products on the integer quaternion g*x (g the lcm of the
+component denominators) and divides each component by g^n at the end, so
+no step reduces a gcd.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .chebyshev import scaled_u_pair
+from .ring import Record
 
 
-class Quaternion(namedtuple("Quaternion", "a b c d")):
+class Quaternion(Record, namedtuple("Quaternion", "a b c d")):
     """a + b*i + c*j + d*k with exact rational components."""
 
     __slots__ = ()
@@ -42,12 +47,6 @@ class Quaternion(namedtuple("Quaternion", "a b c d")):
             return NotImplemented
         return quat_mul(self, other)
 
-    def __add__(self, other):
-        return NotImplemented  # no tuple concatenation
-
-    def __rmul__(self, other):
-        return NotImplemented  # no tuple repetition
-
     def __str__(self):
         return f"{self.a},{self.b},{self.c},{self.d}"
 
@@ -58,24 +57,38 @@ J = Quaternion(Fraction(0), Fraction(0), Fraction(1), Fraction(0))
 K = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
 
 
-def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    """Hamilton product (i^2 = j^2 = k^2 = ijk = -1)."""
-    return Quaternion(
-        x.a * y.a - x.b * y.b - x.c * y.c - x.d * y.d,
-        x.a * y.b + x.b * y.a + x.c * y.d - x.d * y.c,
-        x.a * y.c - x.b * y.d + x.c * y.a + x.d * y.b,
-        x.a * y.d + x.b * y.c - x.c * y.b + x.d * y.a,
+def _hamilton(x, y) -> tuple:
+    """Hamilton product of two component 4-tuples (i^2 = j^2 = k^2 = ijk = -1)."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (
+        xa * ya - xb * yb - xc * yc - xd * yd,
+        xa * yb + xb * ya + xc * yd - xd * yc,
+        xa * yc - xb * yd + xc * ya + xd * yb,
+        xa * yd + xb * yc - xc * yb + xd * ya,
     )
 
 
+def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
+    """Hamilton product (i^2 = j^2 = k^2 = ijk = -1)."""
+    return Quaternion(*_hamilton(x, y))
+
+
 def quat_power_naive(x: Quaternion, n: int) -> Quaternion:
-    """x^n by repeated multiplication (reference oracle); x^0 = 1."""
+    """x^n by repeated multiplication (reference oracle); x^0 = 1.
+
+    The products run on the integer quaternion g*x, g the lcm of the
+    component denominators, and one division by g^n ends the loop.
+    """
     if n < 0:
         raise ValueError("nonnegative powers only")
-    result = ONE
+    g = math.lcm(*(v.denominator for v in x))
+    scaled = tuple(v.numerator * (g // v.denominator) for v in x)
+    result = (1, 0, 0, 0)
     for _ in range(n):
-        result = quat_mul(result, x)
-    return result
+        result = _hamilton(result, scaled)
+    den = g ** n
+    return Quaternion(*(Fraction(v, den) for v in result))
 
 
 def quat_power_cheb(x: Quaternion, n: int) -> Quaternion:

@@ -8,9 +8,12 @@ Three interchangeable exact rings back everything in this package:
 * modular integers for benchmarking (``ModInt``, prime modulus below
   ``MAX_MODULUS``, checked by deterministic Miller-Rabin).
 
-``_three_term`` is the one three-term recurrence loop, for every ring;
-``ModInt`` tables of one modulus run it on plain ints and charge the
-``ModInt`` op counter what the object loop would have counted.
+``_three_term`` is the one three-term recurrence kernel, for every ring.
+``ModInt`` tables of one modulus run it on plain ints reduced every step
+and charge the ``ModInt`` op counter what the object loop would have
+counted.  Rational tables (``Fraction`` and int entries) are scaled once by
+the lcm of their denominators and run on plain ints, with no gcd until the
+two ``Fraction`` results are built.
 
 ``LaurentFraction`` is the fraction field of ``LaurentPoly``: a normalized
 numerator/denominator pair.  Normalization is by integer content, a power
@@ -36,6 +39,32 @@ Rational = Fraction
 DEFAULT_MODULUS = (1 << 61) - 1
 
 _modint_ops = 0
+
+
+class Record(tuple):
+    """Base of the immutable tuple records ``Mat2``, ``PeriodicAlpha``,
+    ``Quaternion`` and ``CFDigits``.
+
+    A record compares and hashes equal to the plain tuple of its fields, but
+    tuple ordering, concatenation and repetition say nothing about the value
+    it holds, so they raise ``TypeError``.  ``__radd__`` raises rather than
+    returning ``NotImplemented``: for ``tuple + record`` the subclass's
+    reflected method runs first, and ``NotImplemented`` would fall back to
+    tuple concatenation.  Ordering raises for the same reason.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, other):
+        raise TypeError(f"unsupported operand for {type(self).__name__}: "
+                        "records have no tuple ordering or concatenation")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __radd__ = _refuse
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
 
 def reset_modint_ops() -> None:
@@ -395,29 +424,48 @@ class ModInt:
 
 
 def _three_term(a, b, c, steps: int, ops_per_step: int):
-    """(x_steps, x_{steps-1}) for x_k = a_k x_{k-1} - b_k c_k x_{k-2}, x_{-1} = 0, x_0 = 1.
+    """(x_steps, x_{steps-1}) for x_k = a_k x_{k-1} - e_k x_{k-2}, x_{-1} = 0, x_0 = 1.
 
-    Step k >= 1 takes entry (k-1) % l of the period-l tables; each b_k c_k is
-    formed once per entry.  ``ModInt`` tables of one modulus run on plain ints
-    and charge the op counter ``ops_per_step`` per step, the ``ModInt`` ops a
-    per-step object loop would count; every other ring runs on its elements.
+    Step k >= 1 takes entry (k-1) % l of the period-l tables.  ``e_k`` is
+    ``b_k c_k``, formed once per entry, or ``b_k`` itself when ``c`` is None.
+    ``ModInt`` tables of one modulus run on plain ints reduced every step and
+    charge the op counter ``ops_per_step`` per step, the ``ModInt`` ops a
+    per-step object loop would count.  Tables of ``Fraction`` and int values,
+    at least one a ``Fraction``, are cleared of denominators once: with
+    ``g = lcm`` of the denominators of every ``a_k`` and ``e_k``, the ints
+    ``y_k = g^k x_k`` satisfy ``y_k = (a_k g) y_{k-1} - (e_k g^2) y_{k-2}``,
+    so no step reduces a gcd and two ``Fraction`` values are built at the
+    end.  Every other ring runs on its elements.
     """
-    moduli = {x.modulus if isinstance(x, ModInt) else None for x in (*a, *b, *c)}
+    moduli = {x.modulus if isinstance(x, ModInt) else None for x in (*a, *b, *(c or ()))}
     modulus = moduli.pop() if len(moduli) == 1 else None
     if modulus is not None:
         global _modint_ops
         _modint_ops += ops_per_step * steps
         a = [x.value for x in a]
-        e = [y.value * z.value % modulus for y, z in zip(b, c)]
+        e = ([y.value for y in b] if c is None
+             else [y.value * z.value % modulus for y, z in zip(b, c)])
         prev, cur = 0, 1
         for ak, ek in islice(cycle(zip(a, e)), steps):
             prev, cur = cur, (ak * cur - ek * prev) % modulus
         return ModInt(cur, modulus), ModInt(prev, modulus)
-    e = [y * z for y, z in zip(b, c)]
-    prev, cur = ring_zero(a[0]), ring_one(a[0])
+    e = list(b) if c is None else [y * z for y, z in zip(b, c)]
+    g = None
+    kinds = {type(x) for x in (*a, *e)}
+    if Fraction in kinds and kinds <= {int, Fraction}:
+        g = math.lcm(*(x.denominator for x in (*a, *e)))
+        a = [x.numerator * (g // x.denominator) for x in a]
+        e = [x.numerator * (g // x.denominator) * g for x in e]
+        prev, cur = 0, 1
+    else:
+        prev, cur = ring_zero(a[0]), ring_one(a[0])
+    # The one unreduced loop: ring elements, or the rational tables' scaled ints.
     for ak, ek in islice(cycle(zip(a, e)), steps):
         prev, cur = cur, ak * cur - ek * prev
-    return cur, prev
+    if g is None:
+        return cur, prev
+    den = g ** steps
+    return Fraction(cur, den), Fraction(prev * g, den)
 
 
 class LaurentFraction:

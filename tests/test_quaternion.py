@@ -85,3 +85,19 @@ def test_norm_is_multiplicative_under_powers():
             continue
         for n in range(0, 8):
             assert quat_power_cheb(x, n).norm_sq() == x.norm_sq() ** n
+
+
+def test_power_naive_matches_repeated_quat_mul():
+    # The oracle runs on the integer quaternion g*x; restate the plain loop.
+    rng = random.Random(2721)
+    cases = [Quaternion(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
+             for _ in range(40)]
+    cases += [Quaternion(0, 0, 0, 0), Quaternion(3, -2, 0, 7),
+              Quaternion(0, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))]
+    for x in cases:
+        expected = ONE
+        for n in range(13):
+            value = quat_power_naive(x, n)
+            assert value == expected
+            assert [type(v) for v in value] == [Fraction] * 4
+            expected = quat_mul(expected, x)

@@ -3,11 +3,12 @@
 A record compares and hashes equal to the plain tuple of its fields, and
 copies and pickles to an equal record; ``_make`` and ``_replace`` build
 through the constructor too.  Its fields cannot be reassigned, and tuple
-concatenation and repetition do not leak into the arithmetic of matrices
-and quaternions.
+ordering, concatenation and repetition are refused: they would otherwise
+leak into the arithmetic of matrices and quaternions.
 """
 
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -36,7 +37,16 @@ REFUSED = {
     "m+m": (lambda: M + M, TypeError, "unsupported operand"),
     "m-m": (lambda: M - M, TypeError, "unsupported operand"),
     "periodic-alpha-replace-uneven": (lambda: ALPHA._replace(a=[1]), ValueError, "equal length"),
+    "m<m": (lambda: M < Mat2(2, 0, 0, 0), TypeError, "unsupported operand"),
+    "tuple<m": (lambda: (0,) < M, TypeError, "unsupported operand"),
 }
+ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+for _name, _make in RECORDS.items():
+    REFUSED[f"tuple+{_name}"] = (lambda make=_make: (1,) + make(), TypeError, "unsupported operand")
+    REFUSED[f"{_name}+{_name}"] = (lambda make=_make: make() + make(), TypeError, "unsupported operand")
+    for _sym, _op in ORDERINGS.items():
+        REFUSED[f"{_name}{_sym}{_name}"] = (lambda make=_make, op=_op: op(make(), make()),
+                                              TypeError, "unsupported operand")
 
 
 @pytest.mark.parametrize("name", RECORDS)
