@@ -146,7 +146,7 @@ def scaled_u_pair(m: int, t, d):
         raise ValueError("S_m is defined for m >= -1")
     if m == -1:
         return ring_zero(t), None
-    return _three_term([t], [d], None, m, 3)  # t*S, d*S', subtraction
+    return _three_term([t], [d], None, m)
 
 
 def pieri_check(n: int) -> bool:

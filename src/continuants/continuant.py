@@ -8,8 +8,9 @@ c_p..c_{p+n-2}, extended by K_{-1} = 0, K_0 = 1.  Four routes compute it:
   Bareiss elimination (structurally independent of the cofactor
   recurrence it validates; ``det_leibniz`` is a brute-force second oracle
   for small sizes),
-* ``continuant_rec`` runs the three-term recurrence
+* ``k_vector`` runs the three-term recurrence
   K_n = a_p K_{n-1}(shifted) - b_p c_p K_{n-2}(shifted twice) iteratively,
+  one pass giving (K_n(p), K_{n-1}(p+1)); ``continuant_rec`` reads K_n,
 * ``transfer_matrix`` multiplies the 2x2 factors L(a, -bc) = [[a, -bc],
   [1, 0]], whose product encodes four consecutive continuants,
 * the closed forms for periodic data live in :mod:`continuants.periodic`.
@@ -86,22 +87,26 @@ class KVector(NamedTuple):
 def continuant_rec(alpha: PeriodicAlpha, p: int, n: int):
     """K_n with base index p by the three-term recurrence, O(n) ring ops.
 
-    Runs bottom-up over decreasing base shifts: with K_j denoting
-    K_j(base p + n - j), each step is K_j = a*K_{j-1} - b*c*K_{j-2}.
+    The top entry of ``k_vector(alpha, p, n)``; K_{-1}(p) = 0 is the bottom
+    entry of ``k_vector(alpha, p - 1, 0)``, in the ring the tables run in.
     """
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
-    # Step j reads index p + n - j: walk the period backwards from p + n - 1.
-    top = p + n - 1 - alpha.base
-    backward = lambda xs: [xs[(top - i) % alpha.l] for i in range(alpha.l)]
-    k, km1 = _three_term(backward(alpha.a), backward(alpha.b), backward(alpha.c),
-                         max(n, 0), 4)  # a*K, b*c, bc*K', subtraction
-    return k if n >= 0 else km1
+    return k_vector(alpha, p, n).top if n >= 0 else k_vector(alpha, p - 1, 0).bottom
 
 
 def k_vector(alpha: PeriodicAlpha, p: int, n: int) -> KVector:
-    """The column vector (K_n(alpha_p), K_{n-1}(alpha_{p+1}))."""
-    return KVector(continuant_rec(alpha, p, n), continuant_rec(alpha, p + 1, n - 1))
+    """(K_n(alpha_p), K_{n-1}(alpha_{p+1})) from one recurrence pass, O(n) ring ops.
+
+    Step j computes K_j(base p + n - j) = a*K_{j-1} - b*c*K_{j-2}; the last
+    two steps leave the pair.  K_{-2} is undefined, so n >= 0.
+    """
+    if n < 0:
+        raise ValueError("k_vector needs n >= 0")
+    # Step j reads index p + n - j: walk the period backwards from p + n - 1.
+    top = p + n - 1 - alpha.base
+    backward = lambda xs: [xs[(top - i) % alpha.l] for i in range(alpha.l)]
+    return KVector(*_three_term(backward(alpha.a), backward(alpha.b), backward(alpha.c), n))
 
 
 def tridiagonal_matrix(alpha: PeriodicAlpha, p: int, n: int) -> list[list]:

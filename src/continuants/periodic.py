@@ -21,7 +21,7 @@ serves both the invertible and the singular transfer-matrix cases.
 from __future__ import annotations
 
 from .chebyshev import scaled_u_pair
-from .continuant import PeriodicAlpha, continuant_rec, transfer_matrix
+from .continuant import PeriodicAlpha, continuant_rec, k_vector, transfer_matrix
 
 
 def period_trace_det(alpha: PeriodicAlpha, p: int):
@@ -42,7 +42,8 @@ def _closed(alpha: PeriodicAlpha, p: int, m: int, j: int, pair):
     """K_{lm+j}(alpha_{p-j}) for j >= -1 from one trace/det and one S pair.
 
     ``pair(k, t, d)`` returns (S_k, S_{k-1}); it is the only part that
-    differs between the linear and the logarithmic closed forms.
+    differs between the linear and the logarithmic closed forms.  For
+    j >= 0 one ``k_vector`` pass gives both K_l(p) and K_{l-1}(p+1).
     """
     if m < 0:
         raise ValueError("need m >= 0")
@@ -54,10 +55,11 @@ def _closed(alpha: PeriodicAlpha, p: int, m: int, j: int, pair):
         # The -b_{p-1} c_{p-1} K_{-2} product is the ring unit by
         # convention, so only the K_{lm-1} term survives.
         return s1 * continuant_rec(alpha, p + 1, alpha.l - 1)
-    klm = s1 * continuant_rec(alpha, p, alpha.l) - d * s2
+    kl, kl_minus1 = k_vector(alpha, p, alpha.l)
+    klm = s1 * kl - d * s2
     if j == 0:
         return klm
-    klm_minus1 = s1 * continuant_rec(alpha, p + 1, alpha.l - 1)
+    klm_minus1 = s1 * kl_minus1
     bc = alpha.b_at(p - 1) * alpha.c_at(p - 1)
     return (continuant_rec(alpha, p - j, j) * klm
             - bc * continuant_rec(alpha, p - j, j - 1) * klm_minus1)

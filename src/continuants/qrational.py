@@ -11,12 +11,12 @@ a ratio of two continuant polynomials over the Laurent ring: take
     a_p = [a_p]_{q^(sigma_p)},  b_p = q^(sigma_p * a_p),  c_p = -1,
 
 with sigma_p = +1 for odd p and -1 for even p; then the deformed value is
-K_{2n}(alpha_1) / K_{2n-1}(alpha_2).
+K_{2n}(alpha_1) / K_{2n-1}(alpha_2), the pair one ``k_vector`` pass leaves.
 
 The digit-list [1, 1, ..., 1] family gives the q-Fibonacci sequence
-F_n(q), which also satisfies the parity-split recurrence
-F_{2m} = F_{2m-1} + q^-1 F_{2m-2}, F_{2m+1} = F_{2m} + q F_{2m-1} and has
-a closed form through scaled Chebyshev values of t = 1 + q + q^-1, d = 1.
+F_n(q) = K_{n-1}(alpha_1), which also satisfies the parity-split recurrence
+F_{2m} = F_{2m-1} + q^-1 F_{2m-2}, F_{2m+1} = F_{2m} + q F_{2m-1}; as
+period-2 data with t = 1 + q + q^-1, d = 1 it has the periodic closed form.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chebyshev import scaled_u, scaled_u_pair
-from .continuant import PeriodicAlpha, continuant_rec
+from .continuant import PeriodicAlpha, k_vector
 from .ring import LaurentFraction, LaurentPoly, Record
 
 QRational = LaurentFraction
@@ -108,10 +107,7 @@ def q_rational(digits: CFDigits) -> QRational:
     """[r/s]_q as a normalized continuant quotient K_{2n}(1) / K_{2n-1}(2)."""
     if not isinstance(digits, CFDigits):
         digits = CFDigits(digits)
-    alpha = mgo_alpha(digits)
-    n2 = len(digits)
-    num = continuant_rec(alpha, 1, n2)
-    den = continuant_rec(alpha, 2, n2 - 1)
+    num, den = k_vector(mgo_alpha(digits), 1, len(digits))
     return QRational(num, den)
 
 
@@ -130,21 +126,15 @@ def q_fibonacci(n: int) -> LaurentPoly:
 
 
 def q_fibonacci_closed(n: int) -> LaurentPoly:
-    """F_n(q) through scaled Chebyshev values of t = 1 + q + q^-1, d = 1.
+    """F_n(q) = K_{n-1}(alpha_1) of the digits [1, 1] by the periodic closed form.
 
-    Even index: F_{2m+2} = S_m(t, 1).  Odd index: F_{2m+1} =
-    S_{m-1}(t, 1) * (1 + q) - S_{m-2}(t, 1), the period-2 closed form of
-    the underlying continuants K_{2m+1}(alpha_2) and K_{2m}(alpha_1).
+    The period has t = 1 + q + q^-1 and d = 1.  Writing n - 1 = 2m + j with
+    j in {-1, 0} gives F_{2m} = S_{m-1}(t, 1) and F_{2m+1} =
+    S_{m-1}(t, 1) * (1 + q) - S_{m-2}(t, 1).
     """
+    from .periodic import closed_form_general  # qrat and qfib never load periodic
+
     if n < 1:
         raise ValueError("q-Fibonacci numbers start at n = 1")
-    t = LaurentPoly({-1: 1, 0: 1, 1: 1})
-    one = LaurentPoly.one()
-    if n % 2 == 0:
-        m = (n - 2) // 2
-        return scaled_u(m, t, one)
-    m = (n - 1) // 2
-    if m == 0:
-        return LaurentPoly.one()
-    s1, s2 = scaled_u_pair(m - 1, t, one)
-    return s1 * LaurentPoly({0: 1, 1: 1}) - s2
+    m, j = n // 2, n % 2 - 1
+    return closed_form_general(mgo_alpha(CFDigits([1, 1])), 1 + j, m, j)

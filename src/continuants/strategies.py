@@ -27,6 +27,7 @@ from .continuant import (
     cf_eval,
     continuant_det_oracle,
     continuant_rec,
+    k_vector,
     shift_check,
     transfer_matrix,
 )
@@ -104,12 +105,9 @@ def _trace_det(alpha, n_max, m_max):
     for n in range(1, n_max + 1):
         mat = transfer_matrix(alpha, base, n)
         bc = alpha.b_at(base + n - 1) * alpha.c_at(base + n - 1)
-        expected = (
-            continuant_rec(alpha, base, n),
-            -(bc * continuant_rec(alpha, base, n - 1)),
-            continuant_rec(alpha, base + 1, n - 1),
-            -(bc * continuant_rec(alpha, base + 1, n - 2)),
-        )
+        top, bottom = k_vector(alpha, base, n)  # K_n(base), K_{n-1}(base+1)
+        top1, bottom1 = k_vector(alpha, base, n - 1)  # K_{n-1}(base), K_{n-2}(base+1)
+        expected = (top, -(bc * top1), bottom, -(bc * bottom1))
         det = alpha.one()
         for i in range(n):
             det = det * (alpha.b_at(base + i) * alpha.c_at(base + i))
@@ -129,8 +127,8 @@ def _cf_quotient(alpha, n_max, m_max):
         except ZeroDivisionError:
             yield _SKIPPED
             continue
-        lhs = quotient * continuant_rec(alpha, base + 1, n - 1)
-        yield None if lhs == continuant_rec(alpha, base, n) else f"n={n}"
+        num, den = k_vector(alpha, base, n)
+        yield None if quotient * den == num else f"n={n}"
 
 
 def _matpow_periods(alpha, n_max, m_max):

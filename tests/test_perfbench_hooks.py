@@ -45,9 +45,9 @@ def test_tracer_wraps_scaled_u_pair_in_every_module_that_imports_it(monkeypatch)
     # module; a module that stops importing it drops out of the S_m spans.
     monkeypatch.syspath_prepend(PERFBENCH)
     import layers
-    from continuants import chebyshev, mat2, periodic, qrational, quaternion
+    from continuants import chebyshev, mat2, periodic, quaternion
 
-    holders = (chebyshev, mat2, periodic, qrational, quaternion)
+    holders = (chebyshev, mat2, periodic, quaternion)
     original = chebyshev.scaled_u_pair
     tracer = layers.Tracer()
     try:

@@ -35,7 +35,7 @@ def rand_fraction(rng):
 
 
 def assert_matches_object_loop(a, b, c, steps):
-    value = _three_term(a, b, c, steps, 4)
+    value = _three_term(a, b, c, steps)
     assert value == object_loop(a, b, c, steps)
     assert [type(x) for x in value] == [Fraction, Fraction]
 
@@ -79,7 +79,7 @@ def test_d_table_without_c():
 def test_all_int_tables_stay_on_the_object_path():
     a, b, c = [2, -3, 0], [1, 4, -2], [5, -1, 3]
     for steps in STEPS:
-        value = _three_term(a, b, c, steps, 4)
+        value = _three_term(a, b, c, steps)
         assert value == object_loop(a, b, c, steps)
         assert [type(x) for x in value] == [int, int]
     assert [type(x) for x in scaled_u_pair(9, 3, -2)] == [int, int]

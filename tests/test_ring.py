@@ -117,6 +117,13 @@ def test_laurent_rejects_non_integer_coefficients():
         LaurentPoly({0: Fraction(1, 2)})
 
 
+@pytest.mark.parametrize("exponent", [2.5, 2.0, "3", Fraction(2)])
+def test_laurent_rejects_non_integer_exponents(exponent):
+    # Once coerced by int(): {2.5: 1} was q^2 and {"3": 4} was 4*q^3.
+    with pytest.raises(TypeError):
+        LaurentPoly({exponent: 1})
+
+
 def test_laurent_parse_print_roundtrip():
     rng = random.Random(7)
     for _ in range(200):

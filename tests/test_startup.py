@@ -72,6 +72,16 @@ def test_modint_bench_skips_dataclasses():
 @pytest.mark.parametrize("argv", [
     ["qrat", "--r", "13", "--s", "5"],
     ["qfib", "--n", "9"],
+], ids=lambda argv: argv[0])
+def test_q_commands_load_no_periodic_module(argv):
+    # q_fibonacci_closed imports continuants.periodic only when it runs.
+    assert loaded_after(*argv) == {f"continuants.{m}" for m in (
+        "cli", "ring", "chebyshev", "mat2", "continuant", "qrational")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qrat", "--r", "13", "--s", "5"],
+    ["qfib", "--n", "9"],
     ["quatpow", "--q", "1,-1/2,2,0", "--n", "5"],
 ], ids=lambda argv: argv[0])
 def test_record_commands_skip_dataclasses(argv):
