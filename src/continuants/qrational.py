@@ -14,9 +14,9 @@ with sigma_p = +1 for odd p and -1 for even p; then the deformed value is
 K_{2n}(alpha_1) / K_{2n-1}(alpha_2), the pair one ``k_vector`` pass leaves.
 
 The digit-list [1, 1, ..., 1] family gives the q-Fibonacci sequence
-F_n(q) = K_{n-1}(alpha_1), which also satisfies the parity-split recurrence
-F_{2m} = F_{2m-1} + q^-1 F_{2m-2}, F_{2m+1} = F_{2m} + q F_{2m-1}; as
-period-2 data with t = 1 + q + q^-1, d = 1 it has the periodic closed form.
+F_n(q) = K_{n-1}(alpha_1), read from one ``k_vector`` pass over the digits
+[1, 1]; as period-2 data with t = 1 + q + q^-1, d = 1 it has the periodic
+closed form.
 """
 
 from __future__ import annotations
@@ -112,17 +112,14 @@ def q_rational(digits: CFDigits) -> QRational:
 
 
 def q_fibonacci(n: int) -> LaurentPoly:
-    """F_n(q) by the parity-split recurrence; F_1 = F_2 = 1, F_3 = 1 + q."""
+    """F_n(q) = K_{n-1}(alpha_1) of the digits [1, 1]; F_1 = F_2 = 1, F_3 = 1 + q.
+
+    One ``k_vector`` pass of length n - 1, which the three-term kernel runs
+    on Kronecker-packed ints (``ring._packed_laurent``).
+    """
     if n < 1:
         raise ValueError("q-Fibonacci numbers start at n = 1")
-    f_prev = LaurentPoly.one()  # F_1
-    if n == 1:
-        return f_prev
-    f_cur = LaurentPoly.one()  # F_2
-    for k in range(3, n + 1):
-        # q * F_{k-2} at odd k, q^-1 * F_{k-2} at even k.
-        f_prev, f_cur = f_cur, f_cur + f_prev.shift(1 if k % 2 == 1 else -1)
-    return f_cur
+    return k_vector(mgo_alpha(CFDigits([1, 1])), 1, n - 1).top
 
 
 def q_fibonacci_closed(n: int) -> LaurentPoly:

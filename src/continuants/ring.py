@@ -8,12 +8,20 @@ Three interchangeable exact rings back everything in this package:
 * modular integers for benchmarking (``ModInt``, prime modulus below
   ``MAX_MODULUS``, checked by deterministic Miller-Rabin).
 
-``_three_term`` is the one three-term recurrence kernel, for every ring.
-``ModInt`` tables of one modulus run it on plain ints reduced every step
-and charge the ``ModInt`` op counter what the object loop would have
-counted.  Rational tables (``Fraction`` and int entries) are scaled once by
-the lcm of their denominators and run on plain ints, with no gcd until the
-two ``Fraction`` results are built.
+``_three_term`` is the one three-term recurrence kernel, for every ring,
+with three branches that run on plain ints:
+
+* ``ModInt`` tables of one modulus are reduced every step and charge the
+  ``ModInt`` op counter what the object loop would have counted;
+* rational tables (``Fraction`` and int entries) are scaled once by the lcm
+  of their denominators, with no gcd until the two ``Fraction`` results are
+  built;
+* Laurent tables (``LaurentPoly`` and int entries) are Kronecker-packed at
+  ``q = 2^W``: ``W`` comes from a 1-norm bound on the two results, each
+  step's value is stored from a min-plus exponent floor, and each step is a
+  shift-and-add over the few terms of the table entries.
+
+Any other table runs the same recurrence on its ring elements.
 
 ``LaurentFraction`` is the fraction field of ``LaurentPoly``: a normalized
 numerator/denominator pair.  Normalization is by integer content, a power
@@ -193,12 +201,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(terms)
+        return LaurentPoly(_mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -280,6 +283,16 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+def _mul_terms(s: dict, o: dict) -> dict:
+    """Term map of the product of two term maps; cancelled terms stay as 0."""
+    terms: dict[int, int] = {}
+    for e1, c1 in s.items():
+        for e2, c2 in o.items():
+            e = e1 + e2
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return terms
 
 
 _LAURENT_TERM = re.compile(
@@ -429,14 +442,22 @@ def _three_term(a, b, c, steps: int):
 
     Step k >= 1 takes entry (k-1) % l of the period-l tables.  ``e_k`` is
     ``b_k c_k``, formed once per entry, or ``b_k`` itself when ``c`` is None.
-    ``ModInt`` tables of one modulus run on plain ints reduced every step and
-    charge the op counter what a per-step object loop counts: 4 ops per step
-    with a ``c`` table (b*c too), 3 without.  Tables of ``Fraction`` and int values,
-    at least one a ``Fraction``, are cleared of denominators once: with
-    ``g = lcm`` of the denominators of every ``a_k`` and ``e_k``, the ints
-    ``y_k = g^k x_k`` satisfy ``y_k = (a_k g) y_{k-1} - (e_k g^2) y_{k-2}``,
-    so no step reduces a gcd and two ``Fraction`` values are built at the
-    end.  Every other ring runs on its elements.
+    Three kinds of table leave the object loop:
+
+    * ``ModInt`` tables of one modulus run on plain ints reduced every step
+      and charge the op counter what a per-step object loop counts: 4 ops
+      per step with a ``c`` table (b*c too), 3 without.
+    * Tables of ``Fraction`` and int values, at least one a ``Fraction``, are
+      cleared of denominators once: with ``g = lcm`` of the denominators of
+      every ``a_k`` and ``e_k``, the ints ``y_k = g^k x_k`` satisfy
+      ``y_k = (a_k g) y_{k-1} - (e_k g^2) y_{k-2}``, so no step reduces a gcd
+      and two ``Fraction`` values are built at the end.
+    * Tables of ``LaurentPoly`` and int values, at least one a
+      ``LaurentPoly``, run Kronecker-packed on Python ints
+      (``_packed_laurent``) and return two ``LaurentPoly`` values; no step
+      calls ``LaurentPoly.__mul__``.
+
+    Every other ring runs on its elements.
     """
     moduli = {x.modulus if isinstance(x, ModInt) else None for x in (*a, *b, *(c or ()))}
     modulus = moduli.pop() if len(moduli) == 1 else None
@@ -450,9 +471,14 @@ def _three_term(a, b, c, steps: int):
         for ak, ek in islice(cycle(zip(a, e)), steps):
             prev, cur = cur, (ak * cur - ek * prev) % modulus
         return ModInt(cur, modulus), ModInt(prev, modulus)
+    kinds = {type(x) for x in (*a, *b, *(c or ()))}
+    if LaurentPoly in kinds and kinds <= {int, LaurentPoly}:
+        terms = lambda x: LaurentPoly._coerce(x).terms
+        e = ([terms(y) for y in b] if c is None
+             else [_mul_terms(terms(y), terms(z)) for y, z in zip(b, c)])
+        return _packed_laurent([terms(x) for x in a], e, steps)
     e = list(b) if c is None else [y * z for y, z in zip(b, c)]
     g = None
-    kinds = {type(x) for x in (*a, *e)}
     if Fraction in kinds and kinds <= {int, Fraction}:
         g = math.lcm(*(x.denominator for x in (*a, *e)))
         a = [x.numerator * (g // x.denominator) for x in a]
@@ -467,6 +493,79 @@ def _three_term(a, b, c, steps: int):
         return cur, prev
     den = g ** steps
     return Fraction(cur, den), Fraction(prev * g, den)
+
+
+def _packed_laurent(a: list, e: list, steps: int):
+    """The three-term recurrence on Kronecker-packed ints, for term-map tables.
+
+    ``a`` and ``e`` are period-l lists of term maps (a zero coefficient is
+    skipped).  ``x_k`` is held as the int ``X_k = q^-lo_k x_k(q)`` at
+    ``q = 2^W``, one ``W``-bit slot per exponent from the floor ``lo_k`` up,
+    each slot a signed (balanced) digit.  Evaluation at ``q = 2^W`` is a
+    ring map, so the recurrence holds on the ints exactly; each step shifts
+    ``X_{k-1}`` and ``X_{k-2}`` by the terms of ``a_k`` and ``e_k`` and adds.
+    Only the two results are unpacked, and they are unique when every
+    coefficient is below ``2^(W-1)`` in size:
+
+    * ``W`` is ``bit_length(max(N_n, N_{n-1})) + 1`` rounded up to whole
+      bytes, where ``N_k = |a_k|_1 N_{k-1} + |e_k|_1 N_{k-2}`` bounds the
+      1-norm, and so every coefficient, of ``x_k``;
+    * the floors ``lo_k = min(min a_k + lo_{k-1}, min e_k + lo_{k-2})``
+      bound the lowest exponent of ``x_k`` from below (infinite when ``x_k``
+      is zero by construction: ``x_{-1}``, or both terms absent), so every
+      shift is non-negative; they are exact unless the two lowest terms
+      cancel, so no low slot is left empty.
+    """
+    inf = math.inf
+
+    def entry(t, sign):
+        """(lowest exponent, 1-norm, [(exponent above the lowest, sign * coefficient)])."""
+        if not t:
+            return inf, 0, ()
+        low = min(t)
+        return low, sum(map(abs, t.values())), [(x - low, sign * c) for x, c in t.items() if c]
+
+    # The sign of the e_k x_{k-2} term is folded into e_k's coefficients.
+    rows = [(entry(t, 1), entry(u, -1)) for t, u in zip(a, e)]
+    n1, n2, lo1, lo2 = 1, 0, 0, inf  # N and floor of x_{k-1}, x_{k-2}
+    floors = []
+    for (la, na, _), (le, ne, _) in islice(cycle(rows), steps):
+        n1, n2 = na * n1 + ne * n2, n1
+        lo1, lo2 = min(la + lo1, le + lo2), lo1
+        floors.append(lo1)
+    w = -(-(max(n1, n2).bit_length() + 1) // 8) * 8
+    x1, x2, lo1, lo2 = 1, 0, 0, inf
+    for ((la, _, ta), (le, _, te)), lo in zip(cycle(rows), floors):
+        x = 0
+        for v, terms, low in ((x1, ta, la + lo1), (x2, te, le + lo2)):
+            if low == inf:  # a zero entry, or a zero x by construction
+                continue
+            for d, c in terms:
+                s = w * (d + low - lo)
+                t = v << s if s else v  # a zero shift would still copy
+                if c == 1:
+                    x = x + t if x else t
+                elif c == -1:
+                    x -= t
+                else:
+                    x += c * t
+        x1, x2, lo1, lo2 = x, x1, lo, lo1
+    return _unpack(x1, lo1, w), _unpack(x2, lo2, w)
+
+
+def _unpack(x: int, lo, w: int) -> "LaurentPoly":
+    """The Laurent polynomial whose balanced ``w``-bit slots, from exponent
+    ``lo`` up, pack to ``x``; every coefficient is below ``2^(w-1)`` in size."""
+    if not x:
+        return LaurentPoly()
+    width, slots = w // 8, x.bit_length() // w + 1
+    # Adding 2^(w-1) to every slot makes each digit non-negative, so the
+    # slots are the bytes of one unsigned int.
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    half = 1 << (w - 1)
+    raw = memoryview((x + bias).to_bytes(width * slots, "little"))
+    return LaurentPoly({lo + i: int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+                        for i in range(slots)})
 
 
 class LaurentFraction:

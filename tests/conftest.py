@@ -27,3 +27,12 @@ def rand_laurent(rng: random.Random, span: int = 3) -> LaurentPoly:
 
 def rand_modint(rng: random.Random, modulus: int) -> ModInt:
     return ModInt(rng.randrange(modulus), modulus)
+
+
+def q_fibonacci_parity(n: int) -> LaurentPoly:
+    """F_n(q) by the parity-split recurrence on dicts, an oracle for the packed
+    kernel: F_1 = F_2 = 1, F_k = F_{k-1} + q^(+-1) F_{k-2}, with q at odd k."""
+    f_prev = f_cur = LaurentPoly.one()
+    for k in range(3, n + 1):
+        f_prev, f_cur = f_cur, f_cur + f_prev.shift(1 if k % 2 == 1 else -1)
+    return f_cur

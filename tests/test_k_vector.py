@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_alpha, rand_laurent, rand_modint
+from conftest import q_fibonacci_parity, rand_alpha, rand_laurent, rand_modint
 from continuants import ModInt, PeriodicAlpha, continuant_rec, k_vector
 from continuants import chebyshev, cli, continuant, ring
-from continuants.qrational import q_fibonacci, q_fibonacci_closed
+from continuants.qrational import q_fibonacci_closed
 from continuants.ring import modint_ops, reset_modint_ops
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -87,4 +87,4 @@ def test_negative_lengths():
 
 def test_q_fibonacci_closed_matches_the_recurrence():
     for n in range(1, 61):
-        assert q_fibonacci_closed(n) == q_fibonacci(n), n
+        assert q_fibonacci_closed(n) == q_fibonacci_parity(n), n

@@ -5,8 +5,10 @@ On ``ModInt`` tables of one modulus it runs on raw ints, and must return
 what a per-step object loop returns and charge the ModInt op counter
 exactly what that loop counts: 4 per recurrence step (a*K, b*c, bc*K', the
 subtraction) and 3 per S step (t*S, d*S', the subtraction).  The per-step
-object loops are restated here as the reference.  Every other table runs
-the object loop, which forms each b*c product once per table entry.
+object loops are restated here as the reference.  Rational and Laurent
+tables have branches of their own (``test_rational_kernel``,
+``test_laurent_kernel``); every other table runs the object loop, which
+forms each b*c product once per table entry.
 """
 
 import random

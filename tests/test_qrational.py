@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import q_fibonacci_parity
 from continuants import (
     CFDigits,
     LaurentPoly,
@@ -131,13 +132,15 @@ def test_q_fibonacci_is_a_continuant():
     # all-ones digit data.
     alpha = mgo_alpha(CFDigits((1, 1)))
     for m in range(0, 9):
-        assert q_fibonacci(2 * m + 1) == continuant_rec(alpha, 1, 2 * m)
-        assert q_fibonacci(2 * m + 2) == continuant_rec(alpha, 2, 2 * m + 1)
+        assert q_fibonacci_parity(2 * m + 1) == continuant_rec(alpha, 1, 2 * m)
+        assert q_fibonacci_parity(2 * m + 2) == continuant_rec(alpha, 2, 2 * m + 1)
 
 
 def test_q_fibonacci_closed_form_matches_recurrence():
     for n in range(1, 41):
-        assert q_fibonacci_closed(n) == q_fibonacci(n), f"n={n}"
+        expected = q_fibonacci_parity(n)
+        assert q_fibonacci_closed(n) == expected, f"n={n}"
+        assert q_fibonacci(n) == expected, f"n={n}"
     with pytest.raises(ValueError):
         q_fibonacci_closed(0)
 

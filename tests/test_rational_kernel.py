@@ -4,9 +4,7 @@ Tables of ``Fraction`` and int entries, at least one a ``Fraction``, run on
 plain ints scaled by the lcm ``g`` of the denominators and become two
 ``Fraction`` values at the end.  They must equal what the per-step object
 loop, restated here, returns over ``Fraction`` values.  All-int tables stay
-on the object loop and return ints.  ``scaled_u_pair`` passes its ``d``
-table as the products ``e_k``, with no ``c`` table, so a Laurent S pair
-multiplies only inside the loop.
+on the object loop and return ints.
 """
 
 import random
@@ -14,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from continuants import LaurentPoly
 from continuants.chebyshev import scaled_u_pair
 from continuants.ring import _three_term
 
@@ -83,20 +80,3 @@ def test_all_int_tables_stay_on_the_object_path():
         assert value == object_loop(a, b, c, steps)
         assert [type(x) for x in value] == [int, int]
     assert [type(x) for x in scaled_u_pair(9, 3, -2)] == [int, int]
-
-
-def test_laurent_s_pair_multiplies_only_in_the_loop(monkeypatch):
-    calls = []
-    mul = LaurentPoly.__mul__
-
-    def counted_mul(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    q = LaurentPoly.q()
-    t, d = q + LaurentPoly.constant(2), q.shift(-2) - LaurentPoly.one()
-    monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
-    for m in (0, 1, 7):
-        calls.clear()
-        scaled_u_pair(m, t, d)
-        assert len(calls) == 2 * m  # t*S and d*S' per step, no d*1
