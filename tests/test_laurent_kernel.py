@@ -1,14 +1,17 @@
 """The Laurent branch of the three-term kernel ``ring._three_term``.
 
 Tables of ``LaurentPoly`` and int entries, at least one a ``LaurentPoly``,
-run on Kronecker-packed ints: each value is one Python int with a ``W``-bit
-signed slot per exponent, ``W`` comes from a 1-norm bound on the two
+run on Kronecker-packed ints when their exponent support is dense on its
+stride: each value is one Python int with a ``W``-bit signed slot per
+exponent ``lo_k + g i``, ``W`` comes from a 1-norm bound on the two
 results, and each step's exponent floor keeps every shift non-negative.
-The packed pass must equal what dict arithmetic gives: the one-period
-``transfer_matrix`` product (``Mat2`` over ``LaurentPoly``), whose first
-column is the ``k_vector`` pair, and an int recurrence on constant tables
-whose values reach the 1-norm bound exactly, so a slot one bit too narrow
-for the sign fails.  No pass calls ``LaurentPoly.__mul__``.
+Sparse tables, whose empty slots would cost more than the object loop's
+terms, stay on the object loop.  Either path must equal what dict
+arithmetic gives: the one-period ``transfer_matrix`` product (``Mat2`` over
+``LaurentPoly``), whose first column is the ``k_vector`` pair, and an int
+recurrence on constant tables whose values reach the 1-norm bound exactly,
+so a slot one bit too narrow for the sign fails.  No packed pass calls
+``LaurentPoly.__mul__``.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from continuants import LaurentPoly, PeriodicAlpha, k_vector, transfer_matrix
 from continuants.chebyshev import scaled_u_pair
 from continuants.cli import main
-from continuants.ring import _three_term
+from continuants.ring import _packed_laurent, _three_term, parse_laurent
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -27,6 +30,9 @@ FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 LAURENT = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(LaurentPoly)
 ENTRY = st.one_of(LAURENT, LAURENT, st.integers(-3, 3))
 STEPS = st.integers(0, 40)
+# Far-apart exponents: strides above 1, and supports too sparse to pack.
+SPARSE = st.dictionaries(st.sampled_from([-10**6, -300, -2, 0, 1, 3, 500, 10**5, 10**6]),
+                         st.integers(-5, 5), max_size=3).map(LaurentPoly)
 
 
 def has_laurent(*xs):
@@ -34,9 +40,9 @@ def has_laurent(*xs):
 
 
 @st.composite
-def laurent_alphas(draw):
+def laurent_alphas(draw, entry=ENTRY):
     l = draw(st.integers(1, 4))
-    a, b, c = ([draw(ENTRY) for _ in range(l)] for _ in "abc")
+    a, b, c = ([draw(entry) for _ in range(l)] for _ in "abc")
     assume(has_laurent(*a, *b, *c))
     return PeriodicAlpha(a, b, c)
 
@@ -60,6 +66,18 @@ def test_k_vector_matches_transfer_matrix(alpha, offset, n):
     p = alpha.base + offset
     value = k_vector(alpha, p, n)
     assert value == first_column(alpha, p, n)
+    assert [type(x) for x in value] == [LaurentPoly, LaurentPoly]
+
+
+@FUZZ
+@given(alpha=laurent_alphas(st.one_of(SPARSE, LAURENT, st.integers(-3, 3))),
+       n=st.integers(0, 20))
+@example(alpha=PeriodicAlpha([LaurentPoly({10**6: 1, 1: 1})], [1], [1]), n=20)  # object loop
+@example(alpha=PeriodicAlpha([LaurentPoly({10**5: 1, 0: 1})], [1], [1]), n=20)  # stride 10^5
+@example(alpha=PeriodicAlpha([LaurentPoly({1: 1, -1: 1})], [-1], [1]), n=20)    # stride 2
+def test_sparse_and_strided_tables_match_transfer_matrix(alpha, n):
+    value = k_vector(alpha, alpha.base, n)
+    assert value == first_column(alpha, alpha.base, n)
     assert [type(x) for x in value] == [LaurentPoly, LaurentPoly]
 
 
@@ -93,8 +111,40 @@ def test_constant_tables_reach_the_bound(a, e, s):
         n_prev, n = n, abs(a) * n + abs(e) * n_prev
 
 
+def scaled(t: LaurentPoly, g: int) -> LaurentPoly:
+    """t(q^g)."""
+    return LaurentPoly({g * x: c for x, c in t.terms.items()})
+
+
+@pytest.mark.parametrize("g", [2, 7, 10**5, 10**9])
+def test_strided_tables_pack_on_the_stride(g):
+    """a = q^g + 1 packs one slot per exponent g i, as q + 1 does, and gives
+    the q + 1 values at q^g; a slot per exponent would take about g W bits."""
+    a, e = [parse_laurent("q + 1")], [LaurentPoly.one()]
+    sparse_a = [scaled(a[0], g)]
+    packed = _packed_laurent(sparse_a, e, 100)
+    assert packed is not None
+    assert packed == tuple(scaled(x, g) for x in _three_term(a, e, None, 100))
+
+
+@pytest.mark.parametrize("text, packs", [
+    ("q^1000000 + q", False),           # about n^2 / 2 terms spread over n 10^6 exponents
+    ("q^100000 + q^3 + 1", False),
+    ("q + q^-1", True),                # stride 2
+    ("-3*q^-2 + 3 - 3*q^2", True),     # dense, as every shipped config is
+    ("q^20 + q", True),                # clusters of nearby terms
+])
+def test_sparse_support_stays_on_the_object_loop(text, packs):
+    """The path follows the exponent support, and both give the same values."""
+    a, e = [parse_laurent(text)], [LaurentPoly.one()]
+    packed = _packed_laurent(a, e, 60)
+    assert (packed is not None) == packs
+    assert _three_term(a, e, None, 60) == first_column(PeriodicAlpha(a, e, [1]), 1, 60)
+
+
 def test_laurent_passes_never_call_laurent_mul(monkeypatch):
-    """Every product is a shift-and-add on packed ints, for every length."""
+    """Every product is a shift-and-add on packed ints, for every length; a
+    sparse table's object loop is what calls ``LaurentPoly.__mul__``."""
     calls = []
     mul = LaurentPoly.__mul__
 
@@ -113,8 +163,8 @@ def test_laurent_passes_never_call_laurent_mul(monkeypatch):
         k_vector(alpha, 1, m)
         k_vector(alpha, 2, m)
     assert calls == []
-    t * d
-    assert calls == [1]  # the counter sees an object-path multiply
+    scaled_u_pair(3, parse_laurent("q^1000000 + q"), 1)
+    assert len(calls) == 2 * 3  # the object loop's t*S and d*S' per step
 
 
 #: The exact-growth benchmark's seed-1 ``L1.cfg``.
