@@ -92,7 +92,8 @@ def u_coeffs_hypergeometric(n: int) -> list[int]:
     coeffs = [(n + 1) * c for c in total]
     out = []
     for c in coeffs:
-        assert c.denominator == 1, f"non-integer coefficient {c} in U_{n}"
+        if c.denominator != 1:
+            raise ArithmeticError(f"non-integer coefficient {c} in U_{n}")
         out.append(int(c))
     return _trim(out)
 

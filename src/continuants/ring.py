@@ -262,7 +262,13 @@ class LaurentPoly:
         return LaurentPoly({k + ns - ds: c for k, c in enumerate(quot)})
 
     def evaluate(self, x):
-        """Evaluate at a numeric value of q (Fraction, int or float)."""
+        """Evaluate at a numeric value of q (Fraction, int or float).
+
+        An int is evaluated as a ``Fraction``, so the value is exact: a
+        negative power of an int would be a float.
+        """
+        if isinstance(x, int):
+            x = Fraction(x)
         total = x * 0
         for e, c in self.terms.items():
             total += c * x ** e
@@ -550,7 +556,8 @@ def _packed_laurent(a: list, e: list, steps: int):
              sum(map(abs, t.terms.values())), sum(map(abs, u.terms.values())),
              min(t.terms, default=None), min(u.terms, default=None))
             for t, u in zip(a, e)]
-    g = math.gcd(*(x - min(t.terms) for t in (*a, *e) for x in t.terms))
+    g = math.gcd(*(x - low for ta, te, _, _, la, le in rows
+                   for terms, low in ((ta, la), (te, le)) for x, _ in terms))
     n1, n2, lo1, lo2 = 1, 0, 0, None  # 1-norm bounds and floors of x_{k-1}, x_{k-2}
     floors = []
     for _, _, na, ne, la, le in islice(cycle(rows), steps):

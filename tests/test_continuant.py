@@ -32,6 +32,15 @@ def _corpus(seed=77, per_l=50):
 FIB = PeriodicAlpha([Fraction(1)], [Fraction(1)], [Fraction(-1)])
 
 
+def _zero_heavy(seed, entry, zero, count=60, n_max=6):
+    """Square matrices with about half their entries zero: zero pivots, row
+    swaps, rows that skip pivot columns, and singular matrices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        yield [[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)]
+
+
 class TestPeriodicAlpha:
     def test_lookups_wrap_in_both_directions(self):
         alpha = PeriodicAlpha([1, 2, 3], [4, 5, 6], [7, 8, 9], base=1)
@@ -131,6 +140,8 @@ class TestDeterminantOracle:
             n = rng.randint(1, 5)
             rows = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
             assert det_bareiss(rows) == det_leibniz(rows)
+        for rows in _zero_heavy(82, rand_fraction, Fraction(0)):
+            assert det_bareiss(rows) == det_leibniz(rows)
 
     def test_bareiss_handles_zero_pivots(self):
         rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
@@ -148,6 +159,9 @@ class TestDeterminantOracle:
             n = rng.randint(1, 4)
             rows = [[rand_laurent(rng, span=1) for _ in range(n)] for _ in range(n)]
             assert det_bareiss(rows) == det_leibniz(rows)
+        for rows in _zero_heavy(83, lambda r: rand_laurent(r, span=1), LaurentPoly.zero(),
+                                count=25, n_max=5):
+            assert det_bareiss(rows) == det_leibniz(rows)
 
     def test_bareiss_over_modint(self):
         rng = random.Random(81)
@@ -155,6 +169,26 @@ class TestDeterminantOracle:
             n = rng.randint(1, 4)
             rows = [[ModInt(rng.randrange(11), 11) for _ in range(n)] for _ in range(n)]
             assert det_bareiss(rows) == det_leibniz(rows)
+        for rows in _zero_heavy(84, lambda r: ModInt(r.randrange(1, 11), 11), ModInt(0, 11)):
+            assert det_bareiss(rows) == det_leibniz(rows)
+
+    def test_bareiss_exact_divisions_are_linear_on_tridiagonal_input(self, monkeypatch):
+        """A row with no entry in the pivot column is not rescaled at that
+        step; it catches up when next read.  So a tridiagonal matrix costs
+        about 5n exact divisions, not one per untouched entry per step."""
+        calls = []
+        exact_div = continuant.exact_div
+
+        def counted(x, y):
+            calls.append(1)
+            return exact_div(x, y)
+
+        monkeypatch.setattr(continuant, "exact_div", counted)
+        alpha = PeriodicAlpha([Fraction(1), Fraction(2), Fraction(3)], [Fraction(1)] * 3,
+                              [Fraction(-1)] * 3)
+        n = 200
+        assert continuant_det_oracle(alpha, 1, n) == continuant_rec(alpha, 1, n)
+        assert len(calls) <= 6 * n
 
     def test_leibniz_refuses_n_above_bound(self, monkeypatch):
         def no_enumeration(_):

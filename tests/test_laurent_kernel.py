@@ -22,6 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from continuants import LaurentPoly, PeriodicAlpha, k_vector, transfer_matrix
 from continuants.chebyshev import scaled_u_pair
 from continuants.cli import main
+from continuants import ring
 from continuants.ring import _packed_laurent, _three_term, parse_laurent
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
@@ -140,6 +141,26 @@ def test_sparse_support_stays_on_the_object_loop(text, packs):
     packed = _packed_laurent(a, e, 60)
     assert (packed is not None) == packs
     assert _three_term(a, e, None, 60) == first_column(PeriodicAlpha(a, e, [1]), 1, 60)
+
+
+def test_stride_pre_pass_reads_each_entrys_floor_once(monkeypatch):
+    """The stride is the gcd of exponent differences from each entry's floor,
+    which is found once per entry: an entry of 10^4 terms costs one ``min``
+    over its terms, not one per term.  The entry still packs."""
+    n, steps = 10**4, 2
+    a, e = [LaurentPoly(dict.fromkeys(range(n), 1))], [LaurentPoly.one()]
+    calls = []
+
+    def counted_min(*args, **kwargs):
+        calls.append(1)
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(ring, "min", counted_min, raising=False)
+    packed = _packed_laurent(a, e, steps)
+    assert len(calls) <= 2 * len(a) + steps  # each entry's floors, and one per step
+    square = {k: min(k + 1, 2 * n - 1 - k) for k in range(2 * n - 1)}  # [n]_q^2
+    square[0] -= 1
+    assert packed == (LaurentPoly(square), a[0])
 
 
 def test_laurent_passes_never_call_laurent_mul(monkeypatch):

@@ -15,6 +15,7 @@ from continuants import (
     ring_one,
     ring_zero,
 )
+from continuants.qrational import q_fibonacci
 from continuants.ring import (
     DEFAULT_MODULUS,
     MAX_MODULUS,
@@ -110,6 +111,16 @@ def test_laurent_exact_div():
     # divisibility must hold over the integers, not just the rationals
     with pytest.raises(ValueError):
         parse_laurent("q^2 - 1").exact_div(parse_laurent("2*q - 2"))
+
+
+def test_laurent_evaluate_at_an_int_is_exact():
+    """An int argument evaluates as a Fraction: a float sum would lose the
+    1 here, and q-Fibonacci's negative exponents would turn q = 1 into floats."""
+    assert LaurentPoly({-1: 10**20 + 1, 0: -10**20}).evaluate(1) == 1
+    fib = q_fibonacci(200)
+    value = fib.evaluate(1)
+    assert isinstance(value, Fraction) and value == sum(fib.terms.values())
+    assert LaurentPoly({-2: 3, 1: 1}).evaluate(2) == Fraction(11, 4)
 
 
 def test_laurent_rejects_non_integer_coefficients():
