@@ -1,10 +1,11 @@
 """Chebyshev polynomials of the second kind, exactly.
 
-Polynomials in x are dense integer coefficient lists in ascending degree;
-the zero polynomial is the empty list.  Three independent routes compute
-U_n: the three-term recurrence (primary), the terminating Gauss
+Three independent routes compute U_n: the three-term recurrence (primary,
+one ``scaled_u`` pass of the ring kernel), the terminating Gauss
 hypergeometric sum, and truncated inversion of the generating function
-1 / (1 - 2xu + u^2).
+1 / (1 - 2xu + u^2).  All three do their arithmetic on ``LaurentPoly``
+values in x; a polynomial is returned as its integer coefficient list in
+ascending degree, the zero polynomial as the empty list.
 
 ``scaled_u`` is the square-root-free workhorse used everywhere else: for a
 trace t and determinant d it evaluates S_m(t, d), the bivariate polynomial
@@ -18,35 +19,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import _three_term, ring_one, ring_zero
+from .ring import LaurentPoly, _three_term, ring_one, ring_zero
+
+_X = LaurentPoly.q()
 
 
-def _trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_add(p: list, q: list) -> list:
-    out = list(p) + [0] * (len(q) - len(p)) if len(q) > len(p) else list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _poly_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
+def _coeffs(p: LaurentPoly) -> list[int]:
+    return [p.coeff(k) for k in range(max(p.terms, default=-1) + 1)]
 
 
 def u_coeffs(n: int) -> list[int]:
-    """Coefficients of U_n(x) by the recurrence U_{k+1} = 2x*U_k - U_{k-1}.
+    """Coefficients of U_n(x) from one kernel pass, since U_n(x) = S_n(2x, 1).
+
+    The pass computes S_n(x, 1) = sum s_k x^k; U_n has the coefficients
+    s_k * 2^k, so each s_k is shifted left by k bits.  S_n(x, 1) has
+    1-norm F_{n+1} (packed slots of about 0.69n bits) where S_n(2x, 1) has
+    a Pell number (about 1.27n bits), so the shift beats running the
+    factor 2 through the pass.
 
     Boundary values: U_0 = 1, U_{-1} = 0, U_{-2} = -1.
     """
@@ -54,13 +43,7 @@ def u_coeffs(n: int) -> list[int]:
         raise ValueError("U_n is defined for n >= -2")
     if n == -2:
         return [-1]
-    if n == -1:
-        return []
-    prev, cur = [], [1]  # U_{-1}, U_0
-    for _ in range(n):
-        nxt = [0] + [2 * c for c in cur]
-        prev, cur = cur, _poly_add(nxt, [-c for c in prev])
-    return cur
+    return [c << k for k, c in enumerate(_coeffs(scaled_u(n, _X, 1)))]
 
 
 def _pochhammer(a, m: int):
@@ -74,28 +57,24 @@ def u_coeffs_hypergeometric(n: int) -> list[int]:
     """U_n(x) from the terminating 2F1(-n, n+2; 3/2; (1-x)/2) sum.
 
     The Pochhammer (-n)_k terms carry the alternating signs; the (3/2)_k
-    denominators cancel, so the result must be integral.
+    denominators cancel, so each term's coefficient of (1 - x)^k, scaled
+    by n + 1, must be integral.
     """
     if n < 0:
         raise ValueError("hypergeometric form needs n >= 0")
-    total = [Fraction(0)] * (n + 1)
-    zk = [Fraction(1)]  # ((1 - x) / 2)^k
+    total, power = LaurentPoly(), LaurentPoly.one()  # power = (1 - x)^k
     for k in range(n + 1):
         c = (
-            _pochhammer(-n, k)
+            (n + 1)
+            * _pochhammer(-n, k)
             * _pochhammer(n + 2, k)
-            / (_pochhammer(1, k) * _pochhammer(Fraction(3, 2), k))
+            / (_pochhammer(1, k) * _pochhammer(Fraction(3, 2), k) * 2 ** k)
         )
-        for i, z in enumerate(zk):
-            total[i] += c * z
-        zk = _poly_mul(zk, [Fraction(1, 2), Fraction(-1, 2)])
-    coeffs = [(n + 1) * c for c in total]
-    out = []
-    for c in coeffs:
         if c.denominator != 1:
-            raise ArithmeticError(f"non-integer coefficient {c} in U_{n}")
-        out.append(int(c))
-    return _trim(out)
+            raise ArithmeticError(f"non-integer coefficient {c} of (1 - x)^{k} in U_{n}")
+        total += c.numerator * power
+        power *= 1 - _X
+    return _coeffs(total)
 
 
 def u_genfun_coeff(n: int, max_deg: int) -> list[int]:
@@ -107,14 +86,12 @@ def u_genfun_coeff(n: int, max_deg: int) -> list[int]:
     """
     if not 0 <= n <= max_deg:
         raise ValueError("need 0 <= n <= max_deg")
-    a = [[1], [0, -2], [1]]  # 1, -2x, 1
-    b = [[1]]
+    a = [1, -2 * _X, 1]
+    b = [LaurentPoly.one()]
     for k in range(1, max_deg + 1):
-        acc: list = []
-        for i in range(1, min(k, len(a) - 1) + 1):
-            acc = _poly_add(acc, _poly_mul(a[i], b[k - i]))
-        b.append([-c for c in acc])
-    return b[n]
+        terms = (a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+        b.append(-sum(terms, LaurentPoly()))
+    return _coeffs(b[n])
 
 
 def complete_homogeneous(n: int, x, y):
@@ -154,6 +131,5 @@ def pieri_check(n: int) -> bool:
     """Does 2x * U_n equal U_{n+1} + U_{n-1} exactly in coefficients?"""
     if n < 0:
         raise ValueError("pieri_check needs n >= 0")
-    lhs = _poly_mul([0, 2], u_coeffs(n))
-    rhs = _poly_add(u_coeffs(n + 1), u_coeffs(n - 1))
-    return lhs == rhs
+    lower, u, upper = (LaurentPoly(dict(enumerate(u_coeffs(k)))) for k in (n - 1, n, n + 1))
+    return 2 * _X * u == upper + lower

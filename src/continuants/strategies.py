@@ -179,9 +179,12 @@ def run_verify(alpha: PeriodicAlpha, n_max: int = 8, m_max: int = 4):
     Each identity yields one outcome per case: ``None`` for a pass, a
     detail string for a failure, or a skip (the continued-fraction quotient
     needs every c = -1 and nonvanishing intermediate denominators).
-    ``n_max`` and ``m_max`` above ``VERIFY_MAX`` raise ``ValueError``.
+    ``n_max`` and ``m_max`` below 0 or above ``VERIFY_MAX`` raise
+    ``ValueError``: a negative size would check no case and pass.
     """
     for name, value in (("n_max", n_max), ("m_max", m_max)):
+        if value < 0:
+            raise ValueError(f"verify refuses {name} = {value} < 0")
         if value > VERIFY_MAX:
             raise ValueError(f"verify refuses {name} = {value} > VERIFY_MAX = {VERIFY_MAX}")
     return [_tally(name, identity(alpha, n_max, m_max))

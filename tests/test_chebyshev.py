@@ -13,6 +13,11 @@ from continuants import (
     u_coeffs_hypergeometric,
     u_genfun_coeff,
 )
+from continuants import chebyshev, ring
+
+# Degrees whose packed S_n(x, 1) slots (1-norm F_{n+1}) are 48, 96 and 184
+# bits wide, against 24 bits at n = 30.
+WIDE_N = (64, 127, 255)
 
 
 def test_boundary_values():
@@ -50,16 +55,48 @@ def test_three_routes_agree_up_to_30():
         rec = u_coeffs(n)
         assert rec == u_coeffs_hypergeometric(n)
         assert rec == u_genfun_coeff(n, 30)
+    for n in WIDE_N:  # the hypergeometric sum is too slow at these degrees
+        assert u_coeffs(n) == u_genfun_coeff(n, n)
 
 
 def test_structural_invariants():
-    for n in range(31):
+    for n in (*range(31), *WIDE_N):
         coeffs = u_coeffs(n)
         assert len(coeffs) == n + 1  # degree n
         assert coeffs[-1] == 2 ** n  # leading coefficient
         for k, c in enumerate(coeffs):
             if (n - k) % 2 == 1:
                 assert c == 0  # parity: only x^k with k = n (mod 2) survive
+
+
+def test_recurrence_is_one_kernel_pass_and_oracles_none(monkeypatch):
+    # The two oracles must stay independent of the packed kernel that
+    # u_coeffs runs on, and u_coeffs must not fall back to the object loop.
+    passes, products = [], []
+
+    def counting(*args):
+        passes.append(args)
+        return ring._three_term(*args)
+
+    mul = ring.LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(chebyshev, "_three_term", counting)
+    for n in (0, 1, 2, 7, 30, *WIDE_N):
+        passes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ring.LaurentPoly, "__mul__", counting_mul)
+            m.setattr(ring.LaurentPoly, "__rmul__", counting_mul)
+            u_coeffs(n)
+        assert len(passes) == 1 and products == [], n
+    passes.clear()
+    for n in range(13):
+        u_coeffs_hypergeometric(n)
+        u_genfun_coeff(n, 12)
+    assert passes == []
 
 
 def test_pieri_identity():

@@ -101,6 +101,12 @@ class TestParseConfig:
             parse_config(text)
 
 
+def _no_identity(alpha, n_max, m_max):
+    """A verify identity that fails if a refused size reaches it."""
+    raise AssertionError(f"identity ran at n_max = {n_max}, m_max = {m_max}")
+    yield
+
+
 class TestSubcommands:
     def test_qfib_prints_polynomial(self, capsys):
         assert main(["qfib", "--n", "3"]) == 0
@@ -290,17 +296,24 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("option", ["--n-max", "--m-max"])
     def test_verify_refuses_sizes_above_cap(self, option, monkeypatch, capsys):
-        def no_identity(alpha, n_max, m_max):  # the real suite takes seconds here
-            raise AssertionError(f"identity ran at n_max = {n_max}, m_max = {m_max}")
-            yield
-
-        monkeypatch.setattr(strategies, "_IDENTITIES", {"any": no_identity})
+        # The real suite takes seconds here.
+        monkeypatch.setattr(strategies, "_IDENTITIES", {"any": _no_identity})
         cfg = os.path.join(REPO, "configs", "rational_l3_basic.cfg")
         assert main(["verify", "--config", cfg, option, str(VERIFY_MAX + 1)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (f"error: verify refuses {option[2:].replace('-', '_')} = "
                        f"{VERIFY_MAX + 1} > VERIFY_MAX = {VERIFY_MAX}\n")
+
+    @pytest.mark.parametrize("option", ["--n-max", "--m-max"])
+    def test_verify_refuses_negative_sizes(self, option, monkeypatch, capsys):
+        # A negative size would check no case, print SKIP lines and pass.
+        monkeypatch.setattr(strategies, "_IDENTITIES", {"any": _no_identity})
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main(["verify", "--config", cfg, option, "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: verify refuses {option[2:].replace('-', '_')} = -1 < 0\n"
 
     def test_verify_accepts_sizes_at_cap(self, monkeypatch, capsys):
         seen = []
