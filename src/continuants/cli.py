@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .ring import DEFAULT_MODULUS, LaurentRing, ModInt, ModIntRing, RationalRing, ring_by_name
@@ -50,6 +49,14 @@ _REQUIRED_KEYS = ("ring", "l", "p", "a", "b", "c")
 # its entries in this order.
 CONTINUANT_STRATEGIES = ("oracle", "rec", "transfer")
 PERIODIC_STRATEGIES = ("closed", "rec", "oracle", "matpow")
+
+# Largest size each command accepts; above it the command refuses before
+# any work.  The README lists each bound's time and memory.  qrat bounds
+# the sum of the continued-fraction digits of r/s, the degree of [r/s]_q.
+CHEBYSHEV_MAX_N = 4_000
+QFIB_MAX_N = 3_000
+QUATPOW_MAX_N = 10_000
+QRAT_MAX_DIGIT_SUM = 80_000
 
 
 def parse_config(text: str) -> AlphaConfig:
@@ -190,6 +197,9 @@ def _cmd_qrat(args) -> int:
     from .qrational import cf_digits, q_rational
 
     digits = cf_digits(args.r, args.s)
+    if sum(digits) > QRAT_MAX_DIGIT_SUM:
+        raise ValueError(f"qrat refuses digit sum = {sum(digits)} > "
+                         f"QRAT_MAX_DIGIT_SUM = {QRAT_MAX_DIGIT_SUM}")
     value = q_rational(digits)
     with _long_output():
         print(f"digits: {list(digits)}")
@@ -201,6 +211,8 @@ def _cmd_qrat(args) -> int:
 def _cmd_qfib(args) -> int:
     from .qrational import q_fibonacci
 
+    if args.n > QFIB_MAX_N:
+        raise ValueError(f"qfib refuses n = {args.n} > QFIB_MAX_N = {QFIB_MAX_N}")
     with _long_output():
         print(q_fibonacci(args.n))
     return 0
@@ -209,10 +221,12 @@ def _cmd_qfib(args) -> int:
 def _cmd_quatpow(args) -> int:
     from .quaternion import Quaternion, quat_power_cheb, quat_power_naive
 
-    parts = [s.strip() for s in args.q.split(",")]
+    if args.n > QUATPOW_MAX_N:
+        raise ValueError(f"quatpow refuses n = {args.n} > QUATPOW_MAX_N = {QUATPOW_MAX_N}")
+    parts = args.q.split(",")
     if len(parts) != 4:
         raise ValueError("--q expects four comma-separated rationals a,b,c,d")
-    x = Quaternion(*(Fraction(s) for s in parts))
+    x = Quaternion(*map(RationalRing().parse, parts))
     value = quat_power_cheb(x, args.n)
     if value != quat_power_naive(x, args.n):
         raise ValueError("Chebyshev and naive quaternion powers disagree")
@@ -224,6 +238,8 @@ def _cmd_quatpow(args) -> int:
 def _cmd_chebyshev(args) -> int:
     from .chebyshev import u_coeffs
 
+    if args.n > CHEBYSHEV_MAX_N:
+        raise ValueError(f"chebyshev refuses n = {args.n} > CHEBYSHEV_MAX_N = {CHEBYSHEV_MAX_N}")
     with _long_output():
         print(u_coeffs(args.n))
     return 0
@@ -312,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_qfib.set_defaults(func=_cmd_qfib)
 
     p_quat = sub.add_parser("quatpow", help="exact quaternion power")
-    p_quat.add_argument("--q", required=True, help="components a,b,c,d")
+    p_quat.add_argument("--q", required=True,
+                        help="components a,b,c,d, each p or p/q; write --q=-1,... "
+                             "when a is negative")
     p_quat.add_argument("--n", type=int, required=True)
     p_quat.set_defaults(func=_cmd_quatpow)
 

@@ -28,8 +28,8 @@ Any other table runs the same recurrence on its ring elements.
 ``LaurentFraction`` is the fraction field of ``LaurentPoly``: a normalized
 numerator/denominator pair.  Normalization is by integer content, a power
 of ``q`` (lowest denominator exponent becomes 0) and the denominator's
-leading sign; no polynomial gcd is attempted, so equality compares
-cross-multiplied products.
+leading sign; no polynomial gcd or division is attempted, so equality
+compares cross-multiplied products.
 
 Elements of different rings never mix: arithmetic between them raises
 ``TypeError`` (``ValueError`` for ``ModInt`` values with different moduli).
@@ -635,49 +635,38 @@ class LaurentFraction:
 
     Normal form: the denominator's lowest exponent is 0, its leading
     (highest-exponent) coefficient is positive, and the gcd of both
-    contents is 1.  When the denominator divides the numerator exactly the
-    pair collapses to ``poly / 1``.  Equality is by cross-multiplication,
-    so unreduced-but-equal fractions compare equal.
+    contents is 1.  Construction never divides one polynomial by the
+    other, so a pair such as ``(q^2 - 1) / (q - 1)`` keeps its written
+    denominator.  Equality is by cross-multiplication, so unreduced but
+    equal fractions compare equal, and ``__hash__`` is where a fraction
+    finds out whether its value is a Laurent polynomial (an exact
+    division), so that it hashes like that polynomial.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = None):
-        num = self._as_poly(num)
-        den = LaurentPoly.one() if den is None else self._as_poly(den)
+        args = (num, 1 if den is None else den)
+        num, den = map(LaurentPoly._coerce, args)
+        if num is None or den is None:
+            bad = args[0] if num is None else args[1]
+            raise TypeError(f"expected LaurentPoly, got {type(bad).__name__}")
         if den.is_zero():
             raise ZeroDivisionError("LaurentFraction with zero denominator")
         if num.is_zero():
-            num, den = LaurentPoly.zero(), LaurentPoly.one()
+            den = LaurentPoly.one()
         else:
             shift = -den.min_exp()
-            num, den = num.shift(shift), den.shift(shift)
             g = math.gcd(num.content(), den.content())
-            if g > 1:
-                num = LaurentPoly({e: c // g for e, c in num.terms.items()})
-                den = LaurentPoly({e: c // g for e, c in den.terms.items()})
             if den.terms[den.max_exp()] < 0:
-                num, den = -num, -den
-            if den != LaurentPoly.one():
-                try:
-                    q = num.exact_div(den)
-                except ValueError:
-                    pass
-                else:
-                    num, den = q, LaurentPoly.one()
+                g = -g
+            num = LaurentPoly({e + shift: c // g for e, c in num.terms.items()})
+            den = LaurentPoly({e + shift: c // g for e, c in den.terms.items()})
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentFraction is immutable")
-
-    @staticmethod
-    def _as_poly(x):
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, int):
-            return LaurentPoly.constant(x)
-        raise TypeError(f"expected LaurentPoly, got {type(x).__name__}")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -687,7 +676,7 @@ class LaurentFraction:
         if isinstance(other, LaurentFraction):
             return other
         if isinstance(other, (LaurentPoly, int)):
-            return LaurentFraction(LaurentFraction._as_poly(other))
+            return LaurentFraction(other)
         return None
 
     def __add__(self, other):
@@ -742,13 +731,15 @@ class LaurentFraction:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
-        # The normal form has denominator 1 exactly when the value is a
-        # Laurent polynomial; then hash like it (and like an int constant).
-        # Other equal fractions may differ in written form, so they share
-        # one constant hash.
+        # Equal values hash equal: a fraction whose value is a Laurent
+        # polynomial hashes like it (and like an int constant), and every
+        # other value, whatever pair it is written with, shares one hash.
         if self.den == LaurentPoly.one():
             return hash(self.num)
-        return 0
+        try:
+            return hash(self.num.exact_div(self.den))
+        except ValueError:
+            return 0
 
     def evaluate(self, x):
         return Fraction(self.num.evaluate(x), self.den.evaluate(x))

@@ -8,6 +8,7 @@ import pytest
 from continuants import (
     ORACLE_MAX_N,
     VERIFY_MAX,
+    LaurentFraction,
     LaurentPoly,
     ModInt,
     Quaternion,
@@ -100,11 +101,41 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 4: field 'modulus': modulus must be"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("ring = modint\nl = 1\np = 1\na = [1.5]\nb = [1]\nc = [1]\n",
+         r"^line 4: field 'a'\[0\]: not an integer literal: '1.5'$"),
+        ("ring = rational\nl = 0\np = 1\na = []\nb = []\nc = []\n",
+         r"^line 2: field 'l' must be >= 1$"),
+    ], ids=["modint-decimal", "l-zero"])
+    def test_refused_field_names_line_and_field(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
 
 def _no_identity(alpha, n_max, m_max):
     """A verify identity that fails if a refused size reaches it."""
     raise AssertionError(f"identity ran at n_max = {n_max}, m_max = {m_max}")
     yield
+
+
+def _no_worker(*args):
+    """A command's worker that fails if a refused input reaches it."""
+    raise AssertionError(f"worker ran on {args}")
+
+
+SIZE_BOUNDS = [
+    (["chebyshev", "--n", str(cli.CHEBYSHEV_MAX_N + 1)], "continuants.chebyshev.u_coeffs",
+     f"chebyshev refuses n = {cli.CHEBYSHEV_MAX_N + 1} > CHEBYSHEV_MAX_N = "
+     f"{cli.CHEBYSHEV_MAX_N}"),
+    (["qfib", "--n", str(cli.QFIB_MAX_N + 1)], "continuants.qrational.q_fibonacci",
+     f"qfib refuses n = {cli.QFIB_MAX_N + 1} > QFIB_MAX_N = {cli.QFIB_MAX_N}"),
+    (["quatpow", "--q", "1,2,3,4", "--n", str(cli.QUATPOW_MAX_N + 1)],
+     "continuants.quaternion.quat_power_cheb",
+     f"quatpow refuses n = {cli.QUATPOW_MAX_N + 1} > QUATPOW_MAX_N = {cli.QUATPOW_MAX_N}"),
+    # The digits of (10^9 + 1)/10^9 are [1, 10^9]: [10^9]_q alone has 10^9 terms.
+    (["qrat", "--r", "1000000001", "--s", "1000000000"], "continuants.qrational.q_rational",
+     f"qrat refuses digit sum = 1000000001 > QRAT_MAX_DIGIT_SUM = {cli.QRAT_MAX_DIGIT_SUM}"),
+]
 
 
 class TestSubcommands:
@@ -328,6 +359,83 @@ class TestSubcommands:
         assert main(["verify", "--config", cfg, "--n-max", cap, "--m-max", cap]) == 0
         assert seen == [(VERIFY_MAX, VERIFY_MAX)]
         assert capsys.readouterr().out == "PASS any: 1 cases\n"
+
+    def test_verify_prints_fail_row_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        closed = strategies.STRATEGIES["closed"]
+        monkeypatch.setitem(strategies.STRATEGIES, "closed",
+                            lambda alpha, p, n: closed(alpha, p, n) + 1)
+        cfg = tmp_path / "fib.cfg"
+        cfg.write_text(FIB_CFG)
+        assert main(["verify", "--config", str(cfg)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL closed=recurrence: 5/5 cases; first: m=0 j=-1: closed=1 rec=0" in out
+        assert [line.split()[0] for line in out].count("FAIL") == 1
+
+    def test_verify_skips_identities_with_no_cases(self, capsys):
+        cfg = os.path.join(REPO, "configs", "modint_l3_cf.cfg")
+        assert main(["verify", "--config", cfg, "--n-max", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "SKIP trace/det: no applicable cases" in out
+        assert "SKIP cf-quotient: no applicable cases" in out
+
+    def test_periodic_verify_prints_fail_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(strategies.STRATEGIES, "matpow", lambda alpha, p, n: Fraction(-1))
+        cfg = tmp_path / "fib.cfg"
+        cfg.write_text(FIB_CFG)
+        assert main(["periodic", "--config", str(cfg), "--m", "5", "--verify"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "8", "PASS closed = 8", "PASS rec = 8", "PASS oracle = 8", "FAIL matpow = -1"]
+
+    def test_bench_without_csv_prints_table(self, capsys):
+        assert main(["bench", "--l", "2", "--m-list", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["strategy", "l", "m", "time_ns", "ops", "digest"]
+        assert lines[1] == "-" * len(lines[0])
+        assert len(lines) == 2 + 4
+
+    @pytest.mark.parametrize("q,n", [
+        ("-5/3,1,0,2", 3),
+        (",".join(str(Fraction(x)) for x in (Fraction(-7, 9), 3, Fraction(2, 4), -1)), 5),
+    ], ids=["negative-first", "str-fraction"])
+    def test_quatpow_reads_rational_literals(self, q, n, capsys):
+        from continuants.quaternion import quat_power_naive
+
+        assert main(["quatpow", f"--q={q}", "--n", str(n)]) == 0
+        x = Quaternion(*(Fraction(s) for s in q.split(",")))
+        assert capsys.readouterr().out == f"{quat_power_naive(x, n)}\n"
+
+    @pytest.mark.parametrize("q,bad", [
+        ("1e3,0.5,0,0", "1e3"), ("1e1000000,0,0,0", "1e1000000"), ("1,0.5,0,0", "0.5")])
+    def test_quatpow_refuses_decimals_and_exponents(self, q, bad, monkeypatch, capsys):
+        monkeypatch.setattr("continuants.quaternion.quat_power_cheb", _no_worker)
+        assert main(["quatpow", f"--q={q}", "--n", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: not a rational literal: {bad!r}\n")
+
+    @pytest.mark.parametrize("argv,worker,message", SIZE_BOUNDS,
+                             ids=[argv[0] for argv, _, _ in SIZE_BOUNDS])
+    def test_commands_refuse_sizes_above_their_bound(self, argv, worker, message,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(worker, _no_worker)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,worker,value", [
+        (["chebyshev", "--n", str(cli.CHEBYSHEV_MAX_N)], "continuants.chebyshev.u_coeffs",
+         [1]),
+        (["qfib", "--n", str(cli.QFIB_MAX_N)], "continuants.qrational.q_fibonacci", 1),
+        (["quatpow", "--q", "1,0,0,0", "--n", str(cli.QUATPOW_MAX_N)],
+         "continuants.quaternion.quat_power_cheb", Quaternion(1, 0, 0, 0)),
+        # [1, QRAT_MAX_DIGIT_SUM - 1] is the expansion of (d + 1)/d.
+        (["qrat", "--r", str(cli.QRAT_MAX_DIGIT_SUM), "--s", str(cli.QRAT_MAX_DIGIT_SUM - 1)],
+         "continuants.qrational.q_rational", LaurentFraction(1)),
+    ], ids=["chebyshev", "qfib", "quatpow", "qrat"])
+    def test_commands_accept_sizes_at_their_bound(self, argv, worker, value, monkeypatch,
+                                                  capsys):
+        seen = []
+        monkeypatch.setattr(worker, lambda *args: seen.append(args) or value)
+        monkeypatch.setattr("continuants.quaternion.quat_power_naive", lambda x, n: value)
+        assert main(argv) == 0
+        assert len(seen) == 1 and capsys.readouterr().err == ""
 
 
 class TestVerifyFixtures:

@@ -180,6 +180,25 @@ def test_laurent_fraction_cross_multiplied_equality():
     assert LaurentFraction(parse_laurent("q^2 - 1"), parse_laurent("q - 1")) == parse_laurent("q + 1")
 
 
+def test_laurent_fraction_construction_never_divides(monkeypatch):
+    from continuants.qrational import CFDigits, q_rational
+
+    calls = []
+    exact_div = LaurentPoly.exact_div
+    monkeypatch.setattr(LaurentPoly, "exact_div",
+                        lambda self, other: calls.append(other) or exact_div(self, other))
+    value = q_rational(CFDigits([8, 9, 1, 2000, 2, 1, 52, 1]))
+    q = LaurentPoly.q()
+    frac = LaurentFraction(q * q - 1, q - 1)
+    assert calls == []
+    # The polynomial-valued pair keeps its denominator, equals q + 1 and
+    # hashes like it; only the hash divides.
+    assert frac.den == q - 1 and frac == q + 1
+    assert hash(frac) == hash(q + 1) and len(calls) == 1
+    assert str(frac) == "(-1 + q^2) / (-1 + q)"
+    assert value.den != LaurentPoly.one()
+
+
 def test_laurent_fraction_field_axioms():
     rng = random.Random(99)
     for _ in range(100):
