@@ -165,6 +165,7 @@ def _cmd_continuant(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
+    from .continuant import ORACLE_MAX_N
     from .periodic import check_offset
     from .strategies import STRATEGIES
 
@@ -177,7 +178,10 @@ def _cmd_periodic(args) -> int:
         check_offset(alpha.l, args.m, j)
     elif args.m < 0:
         raise ValueError("need m >= 0")
-    evaluate = lambda name: STRATEGIES[name](alpha, p - j, alpha.l * args.m + j)
+    n = alpha.l * args.m + j
+    if args.verify and n > ORACLE_MAX_N:  # refuse before printing the value
+        raise ValueError(f"the dense oracle refuses n = {n} > ORACLE_MAX_N = {ORACLE_MAX_N}")
+    evaluate = lambda name: STRATEGIES[name](alpha, p - j, n)
     value = evaluate(args.strategy)
     with _long_output():
         print(cfg.spec.format(value))
@@ -245,7 +249,8 @@ def _cmd_chebyshev(args) -> int:
     return 0
 
 
-def _random_modint_alpha(l: int, seed: int, modulus: int) -> PeriodicAlpha:
+def _random_modint_alpha(l: int = 3, seed: int = 12345,
+                         modulus: int = DEFAULT_MODULUS) -> PeriodicAlpha:
     import random
 
     from .continuant import PeriodicAlpha
@@ -261,13 +266,19 @@ def _cmd_bench(args) -> int:
     from .bench import render_table, run_bench
 
     m_list = [int(s) for s in args.m_list.split(",") if s.strip()]
+    if not m_list:  # an empty table would check nothing
+        raise ValueError("bench refuses an --m-list with no sizes")
+    # The random table's options that were given; _random_modint_alpha has the defaults.
+    given = {k: v for k in ("l", "seed", "modulus") if (v := getattr(args, k)) is not None}
     if args.config:
+        if given:
+            raise ValueError(f"bench refuses {', '.join('--' + k for k in given)} with --config")
         cfg = load_config(args.config)
         if cfg.ring != "modint":
             raise ValueError("bench configs must use ring=modint")
         alpha = cfg.to_alpha()
     else:
-        alpha = _random_modint_alpha(args.l, args.seed, args.modulus)
+        alpha = _random_modint_alpha(**given)
     reports = run_bench(alpha, m_list)
     if args.csv:
         print("strategy,l,m,ns,ops,digest")
@@ -339,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cheb.set_defaults(func=_cmd_chebyshev)
 
     p_bench = sub.add_parser("bench", help="compare evaluation strategies")
-    p_bench.add_argument("--l", type=int, default=3)
+    p_bench.add_argument("--l", type=int)
     p_bench.add_argument("--m-list", required=True, help="comma-separated m values")
     p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--seed", type=int, default=12345)
-    p_bench.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
+    p_bench.add_argument("--seed", type=int)
+    p_bench.add_argument("--modulus", type=int)
     p_bench.add_argument("--csv", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -1,9 +1,10 @@
 """2x2 matrices over an exact ring, with naive and Chebyshev fast powers.
 
 The Cayley-Hamilton route expresses A^m through the scaled Chebyshev
-values S_k(tr A, det A): A^m = S_{m-1} * A - det(A) * S_{m-2} * I for
-m >= 1.  Because S_k(t, 0) = t^k, the same code path covers singular
-matrices, where A^m = (tr A)^{m-1} * A.
+values S_k = S_k(tr A, det A): A^m = S_m * I + S_{m-1} * (A - tr A * I)
+for every m >= 0, since S_0 = 1 and S_{-1} = 0.  Because S_k(t, 0) = t^k,
+the same code path covers singular matrices, where A^m = (tr A)^{m-1} * A
+for m >= 1.
 """
 
 from __future__ import annotations
@@ -88,17 +89,8 @@ def scaled_u_pair_binexp(m: int, t, d):
 
 
 def mat_power_cheb(a: Mat2, m: int) -> Mat2:
-    """A^m via scaled Chebyshev values of the trace and determinant.
-
-    m = 0 is special-cased to the identity: the closed form at m = 0 would
-    need S_{-2} = -1/det, and A^0 = I regardless.
-    """
+    """A^m via scaled Chebyshev values of the trace and determinant."""
     if m < 0:
         raise ValueError("nonnegative powers only")
-    if m == 0:
-        return Mat2.identity_like(a.a)
-    t = a.trace()
-    d = a.det()
-    s1, s2 = scaled_u_pair(m - 1, t, d)  # S_{m-1}, S_{m-2}
-    ds2 = d * s2
-    return Mat2(s1 * a.a - ds2, s1 * a.b, s1 * a.c, s1 * a.d - ds2)
+    s0, s1 = scaled_u_pair(m, a.trace(), a.det())  # S_m, S_{m-1}
+    return Mat2(s0 - s1 * a.d, s1 * a.b, s1 * a.c, s0 - s1 * a.a)

@@ -4,13 +4,13 @@ Viewed as a 2x2 complex matrix, a quaternion x = a + bi + cj + dk has
 trace 2a and determinant N = a^2 + b^2 + c^2 + d^2, both real, so the
 Cayley-Hamilton power formula never leaves the rationals:
 
-    x^n = (a*S_{n-1} - N*S_{n-2}) + (b*i + c*j + d*k) * S_{n-1},
+    x^n = S_n + S_{n-1} * (x - 2a) = (S_n - a*S_{n-1}) + (b*i + c*j + d*k) * S_{n-1},
 
-with S_k = S_k(2a, N) the scaled Chebyshev values.  ``quat_power_naive``
-is the repeated-multiplication oracle.  It clears denominators once, runs
-the n Hamilton products on the integer quaternion g*x (g the lcm of the
-component denominators) and divides each component by g^n at the end, so
-no step reduces a gcd.
+with S_k = S_k(2a, N), for every n >= 0 and every x, zero included.
+``quat_power_naive`` is the repeated-multiplication oracle.  It clears
+denominators once, runs the n Hamilton products on the integer quaternion
+g*x (g the lcm of the component denominators) and divides each component
+by g^n at the end, so no step reduces a gcd.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class Quaternion(Record, namedtuple("Quaternion", "a b c d")):
     @classmethod
     def _make(cls, iterable):  # ``_replace`` too: components become Fractions
         return cls(*iterable)
-
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
 
     def norm_sq(self) -> Fraction:
         return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
@@ -92,13 +89,8 @@ def quat_power_naive(x: Quaternion, n: int) -> Quaternion:
 
 
 def quat_power_cheb(x: Quaternion, n: int) -> Quaternion:
-    """x^n through scaled Chebyshev values S_k(2a, |x|^2); x != 0 for n >= 1."""
+    """x^n through scaled Chebyshev values S_k(2a, |x|^2)."""
     if n < 0:
         raise ValueError("nonnegative powers only")
-    if n == 0:
-        return ONE
-    if x.is_zero():
-        raise ValueError("the closed form excludes the zero quaternion")
-    norm = x.norm_sq()
-    s1, s2 = scaled_u_pair(n - 1, 2 * x.a, norm)  # S_{n-1}, S_{n-2}
-    return Quaternion(x.a * s1 - norm * s2, x.b * s1, x.c * s1, x.d * s1)
+    s0, s1 = scaled_u_pair(n, 2 * x.a, x.norm_sq())  # S_n, S_{n-1}
+    return Quaternion(s0 - x.a * s1, x.b * s1, x.c * s1, x.d * s1)

@@ -54,7 +54,10 @@ def _period_power(alpha: PeriodicAlpha, p: int, n: int, power):
     period = power(transfer_matrix(alpha, p + j, alpha.l), m)
     if j == -1:
         return period.c
-    return transfer_matrix(alpha, p, j).apply((period.a, period.c))[0]
+    if j == 0:
+        return period.a
+    row = transfer_matrix(alpha, p, j)
+    return row.a * period.a + row.b * period.c
 
 
 STRATEGIES = {

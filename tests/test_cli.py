@@ -1,5 +1,6 @@
 import glob
 import os
+import shlex
 import sys
 from fractions import Fraction
 
@@ -205,6 +206,11 @@ class TestSubcommands:
         assert main(["quatpow", "--q", "0,1,0,0", "--n", "4"]) == 0
         assert capsys.readouterr().out.strip() == "1,0,0,0"
 
+    @pytest.mark.parametrize("n, expected", [(0, "1,0,0,0"), (3, "0,0,0,0")])
+    def test_quatpow_zero_quaternion(self, n, expected, capsys):
+        assert main(["quatpow", "--q", "0,0,0,0", "--n", str(n)]) == 0
+        assert capsys.readouterr() == (f"{expected}\n", "")
+
     def test_bench_csv_schema(self, capsys):
         assert main(["bench", "--l", "2", "--m-list", "4,16", "--csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -272,6 +278,34 @@ class TestSubcommands:
         assert main(["bench", "--m-list", "3", "--modulus", "9"]) == 1
         assert capsys.readouterr().err == "error: modulus must be an odd prime\n"
 
+    @pytest.mark.parametrize("options", [
+        ["--l", "7"], ["--seed", "3"], ["--modulus", "97"], ["--l", "7", "--seed", "3"],
+    ], ids=["l", "seed", "modulus", "l-seed"])
+    def test_bench_refuses_random_table_options_with_config(self, options, capsys):
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main(["bench", "--config", cfg, *options, "--m-list", "2", "--csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        given = ", ".join(option for option in options if option.startswith("--"))
+        assert err == f"error: bench refuses {given} with --config\n"
+
+    def test_bench_random_table_defaults(self, capsys):
+        rows = []
+        for extra in ([], ["--l", "3", "--seed", "12345", "--modulus", str((1 << 61) - 1)]):
+            assert main(["bench", "--m-list", "2,5", "--csv", *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            rows.append([line.split(",")[:3] + line.split(",")[4:] for line in lines])
+        assert rows[0] == rows[1]
+        assert rows[0][1][:2] == ["rec", "3"]
+
+    @pytest.mark.parametrize("m_list", [",,", ",", " "])
+    def test_bench_refuses_m_list_without_sizes(self, m_list, capsys):
+        # An empty table would check nothing and exit 0.
+        assert main(["bench", "--m-list", m_list, "--csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bench refuses an --m-list with no sizes\n"
+
     def test_quatpow_cross_check_failure_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr("continuants.quaternion.quat_power_naive",
                             lambda x, n: Quaternion(0, 0, 0, 0))
@@ -320,7 +354,8 @@ class TestSubcommands:
         monkeypatch.setattr(continuant, "tridiagonal_matrix", no_matrix)
         cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # periodic --verify refuses before printing its value
         assert err.startswith("error: the dense oracle refuses n = ")
         assert f"ORACLE_MAX_N = {ORACLE_MAX_N}" in err
 
@@ -448,6 +483,26 @@ class TestVerifyFixtures:
 
     def test_twenty_configs_shipped(self):
         assert len(CONFIGS) == 20
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``continuants ...`` lines of the README's CLI code block."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("continuants ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_runs(line, monkeypatch, capsys):
+    # The README's paths are relative to the repository root.
+    monkeypatch.chdir(REPO)
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_cli_block_shows_every_subcommand():
+    assert {line.split()[1] for line in _readme_cli_lines()} == {
+        "continuant", "periodic", "qrat", "qfib", "quatpow", "chebyshev", "bench", "verify"}
 
 
 class TestRoundTrip:

@@ -35,8 +35,8 @@ RINGS = {"rational": rand_alpha, "laurent": _laurent_alpha, "modint": _modint_al
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["verify", "--config", "modint_l3.cfg"], 156),
-    (["verify", "--config", "laurent_l3.cfg"], 164),
+    (["verify", "--config", "modint_l3.cfg"], 157),
+    (["verify", "--config", "laurent_l3.cfg"], 165),
     (["qrat", "--r", "1393", "--s", "985"], 1),
     (["periodic", "--config", "rational_l4_basic.cfg", "--m", "3", "--j", "2"], 4),
     (["bench", "--m-list", "1,2", "--csv"], 8),

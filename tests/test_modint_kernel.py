@@ -99,13 +99,13 @@ def test_rec_int_c_keeps_object_path_with_one_product_per_entry():
 
 @pytest.mark.parametrize("modulus", MODULI)
 def test_mat_power_cheb_op_count(modulus):
-    # trace 1, det 3, S_{m-1} pair 3(m-1), d*S_{m-2} 1, four scalings, two subtractions.
+    # trace 1, det 3, S_m pair 3m, four scalings, two subtractions.
     rng = random.Random(modulus + 1)
     mat = Mat2(*(rand_modint(rng, modulus) for _ in range(4)))
-    for m in (1, 2, 3, 57):
+    for m in (0, 1, 2, 3, 57):
         value, ops = counted(mat_power_cheb, mat, m)
         assert value == mat_power_naive(mat, m)
-        assert ops == 3 * m + 8
+        assert ops == 3 * m + 10
 
 
 def test_rec_int_coefficients_keep_object_path():

@@ -43,21 +43,19 @@ def test_power_cheb_examples():
         Quaternion(1, 2, 3, 4), 5)
 
 
-def test_zero_quaternion_excluded():
+def test_zero_quaternion_powers():
+    # S_n(0, 0) = 0 for n >= 1, so the closed form needs no zero case.
     zero = Quaternion(0, 0, 0, 0)
-    assert quat_power_cheb(zero, 0) == ONE
+    for n in range(13):
+        assert quat_power_cheb(zero, n) == quat_power_naive(zero, n)
     with pytest.raises(ValueError):
-        quat_power_cheb(zero, 1)
+        quat_power_cheb(zero, -1)
 
 
 def test_power_strategies_agree_on_300_random_quaternions():
     rng = random.Random(2718)
-    count = 0
-    while count < 300:
+    for _ in range(300):
         x = rand_quat(rng)
-        if x.is_zero():
-            continue
-        count += 1
         naive = ONE
         for n in range(13):
             assert quat_power_cheb(x, n) == naive
@@ -65,8 +63,9 @@ def test_power_strategies_agree_on_300_random_quaternions():
 
 
 def test_two_scalar_part_forms_agree():
-    # a*S_{n-1}(2a, N) - N*S_{n-2}(2a, N) == (S_n(2a, N) - N*S_{n-2}(2a, N)) / 2,
-    # the Pieri identity stated without square roots.
+    # The paper's a*S_{n-1}(2a, N) - N*S_{n-2}(2a, N) equals the S_n - a*S_{n-1}
+    # of quat_power_cheb and (S_n(2a, N) - N*S_{n-2}(2a, N)) / 2, the Pieri
+    # identity stated without square roots.
     rng = random.Random(2719)
     for _ in range(100):
         a = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
@@ -74,15 +73,13 @@ def test_two_scalar_part_forms_agree():
         for n in range(1, 13):
             lhs = a * scaled_u(n - 1, 2 * a, norm) - norm * scaled_u(n - 2, 2 * a, norm)
             rhs = (scaled_u(n, 2 * a, norm) - norm * scaled_u(n - 2, 2 * a, norm)) / 2
-            assert lhs == rhs
+            assert lhs == rhs == scaled_u(n, 2 * a, norm) - a * scaled_u(n - 1, 2 * a, norm)
 
 
 def test_norm_is_multiplicative_under_powers():
     rng = random.Random(2720)
     for _ in range(50):
         x = rand_quat(rng)
-        if x.is_zero():
-            continue
         for n in range(0, 8):
             assert quat_power_cheb(x, n).norm_sq() == x.norm_sq() ** n
 
