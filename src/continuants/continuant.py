@@ -234,15 +234,17 @@ def continuant_det_oracle(alpha: PeriodicAlpha, p: int, n: int):
 def transfer_matrix(alpha: PeriodicAlpha, p: int, n: int) -> Mat2:
     """Left-to-right product of the n factors [[a_i, -b_i c_i], [1, 0]], i >= p.
 
-    n = 0 yields the identity (empty product), which keeps the shift
-    identity uniform at m = 0.
+    The product starts from the first factor, so n factors cost n - 1
+    multiplications; n = 0 yields the identity (empty product), which
+    keeps the shift identity uniform at m = 0.
     """
     if n < 0:
         raise ValueError("transfer_matrix needs n >= 0")
     one, zero = alpha.one(), alpha.zero()
     result = Mat2(one, zero, zero, one)
     for i in range(p, p + n):
-        result = result * Mat2(alpha.a_at(i), -(alpha.b_at(i) * alpha.c_at(i)), one, zero)
+        factor = Mat2(alpha.a_at(i), -(alpha.b_at(i) * alpha.c_at(i)), one, zero)
+        result = factor if i == p else result * factor
     return result
 
 

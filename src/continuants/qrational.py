@@ -129,9 +129,9 @@ def q_fibonacci_closed(n: int) -> LaurentPoly:
     j in {-1, 0} gives F_{2m} = S_{m-1}(t, 1) and F_{2m+1} =
     S_{m-1}(t, 1) * (1 + q) - S_{m-2}(t, 1).
     """
-    from .periodic import closed_form_general  # qrat and qfib never load periodic
+    from .periodic import closed_form_general, split  # qrat and qfib never load periodic
 
     if n < 1:
         raise ValueError("q-Fibonacci numbers start at n = 1")
-    m, j = n // 2, n % 2 - 1
+    m, j = split(2, n - 1)
     return closed_form_general(mgo_alpha(CFDigits([1, 1])), 1 + j, m, j)

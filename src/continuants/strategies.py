@@ -15,9 +15,13 @@ must agree exactly:
 * ``matpow``         Chebyshev (Cayley-Hamilton) power of the one-period
                      transfer matrix, O(l + n/l) ring ops
 
-The periodic routes (all but ``rec`` and ``oracle``) write
-n = l*m + j with -1 <= j <= l - 2 themselves.  Entries call through this
-module's globals, so rebinding an imported name here reaches the table.
+The periodic routes (all but ``rec`` and ``oracle``) write n = l*m + j
+with -1 <= j <= l - 2 (``periodic.split``), build the column
+(K_{lm}, K_{lm-1}) and end in the one offset step
+``periodic.offset_step``: j = -1 reads the K_{lm-1} entry, j = 0 the
+K_{lm} entry, and j >= 1 applies the first row of A_j.  Entries call
+through this module's globals, so rebinding an imported name here reaches
+the table.
 """
 
 from __future__ import annotations
@@ -32,15 +36,7 @@ from .continuant import (
     transfer_matrix,
 )
 from .mat2 import mat_power_binexp, mat_power_cheb, scaled_u_pair_binexp
-from .periodic import closed_form_general
-
-
-def split(l: int, n: int) -> tuple[int, int]:
-    """(m, j) with n = l*m + j and -1 <= j <= l - 2."""
-    if n < -1:
-        raise ValueError("continuants are defined for n >= -1")
-    m = (n + 1) // l
-    return m, n - l * m
+from .periodic import closed_form_general, offset_step, split
 
 
 def _closed_form(alpha: PeriodicAlpha, p: int, n: int, pair=None):
@@ -49,15 +45,10 @@ def _closed_form(alpha: PeriodicAlpha, p: int, n: int, pair=None):
 
 
 def _period_power(alpha: PeriodicAlpha, p: int, n: int, power):
-    """K_n(alpha_p): A_j(alpha_p) times A_l(alpha_{p+j})^m, first column."""
+    """K_n(alpha_p): the offset step on the first column of A_l(alpha_{p+j})^m."""
     m, j = split(alpha.l, n)
     period = power(transfer_matrix(alpha, p + j, alpha.l), m)
-    if j == -1:
-        return period.c
-    if j == 0:
-        return period.a
-    row = transfer_matrix(alpha, p, j)
-    return row.a * period.a + row.b * period.c
+    return offset_step(alpha, p + j, j, (period.a, period.c).__getitem__)
 
 
 STRATEGIES = {

@@ -244,6 +244,17 @@ class TestTransferMatrix:
         assert transfer_matrix(FIB, 1, 0) == Mat2(
             Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
+    def test_product_starts_from_the_first_factor(self, monkeypatch):
+        # n factors take n - 1 multiplications: no identity * first factor.
+        calls = []
+        multiply = Mat2.__mul__
+        monkeypatch.setattr(Mat2, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
+        for alpha in _corpus(seed=86, per_l=2):
+            for n in range(0, 9):
+                calls.clear()
+                transfer_matrix(alpha, 1, n)
+                assert len(calls) == max(n - 1, 0), (alpha.l, n)
+
 
 class TestShiftIdentity:
     def test_on_corpus(self):

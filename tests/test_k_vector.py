@@ -10,12 +10,13 @@ and ``chebyshev`` counts every pass a command makes.
 
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import q_fibonacci_parity, rand_alpha, rand_laurent, rand_modint
-from continuants import ModInt, PeriodicAlpha, continuant_rec, k_vector
+from continuants import ModInt, PeriodicAlpha, closed_form_general, continuant_rec, k_vector
 from continuants import chebyshev, cli, continuant, ring
 from continuants.qrational import q_fibonacci_closed
 from continuants.ring import modint_ops, reset_modint_ops
@@ -35,10 +36,10 @@ RINGS = {"rational": rand_alpha, "laurent": _laurent_alpha, "modint": _modint_al
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["verify", "--config", "modint_l3.cfg"], 157),
-    (["verify", "--config", "laurent_l3.cfg"], 165),
+    (["verify", "--config", "modint_l3.cfg"], 149),
+    (["verify", "--config", "laurent_l3.cfg"], 157),
     (["qrat", "--r", "1393", "--s", "985"], 1),
-    (["periodic", "--config", "rational_l4_basic.cfg", "--m", "3", "--j", "2"], 4),
+    (["periodic", "--config", "rational_l4_basic.cfg", "--m", "3", "--j", "2"], 2),
     (["bench", "--m-list", "1,2", "--csv"], 8),
 ], ids=["verify-modint", "verify-laurent", "qrat", "periodic-j2", "bench"])
 def test_kernel_passes_per_command(argv, passes, monkeypatch, capsys):
@@ -54,6 +55,36 @@ def test_kernel_passes_per_command(argv, passes, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_closed_form_makes_two_passes_and_no_continuant_rec_call(ring_name, monkeypatch):
+    # One S pair and one one-period k_vector pass at every offset j (a
+    # zero-step pass for the column (1, 0) at m = 0); the offset step reads
+    # A_j, so no continuant_rec pass is left.
+    alpha = RINGS[ring_name](random.Random(74), 4)
+    cases = [(m, j) for m in range(4) for j in range(-1, 3)]
+    expected = {(m, j): continuant_rec(alpha, 1 - j, 4 * m + j) for m, j in cases}
+    passes, rec_calls = [], []
+
+    def counting(*args):
+        passes.append(args)
+        return ring._three_term(*args)
+
+    def counting_rec(*args):
+        rec_calls.append(args)
+        return continuant_rec(*args)
+
+    monkeypatch.setattr(continuant, "_three_term", counting)
+    monkeypatch.setattr(chebyshev, "_three_term", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("continuants.") and vars(module).get("continuant_rec") is continuant_rec:
+            monkeypatch.setattr(module, "continuant_rec", counting_rec)
+    for m, j in cases:
+        passes.clear()
+        assert closed_form_general(alpha, 1, m, j) == expected[m, j], (m, j)
+        assert len(passes) == (1 if m == 0 else 2), (m, j)
+    assert rec_calls == []
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))

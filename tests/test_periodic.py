@@ -58,6 +58,16 @@ def test_general_trivial_offsets():
             assert closed_form_general(alpha, 1, m, -1) == closed_form_klm_minus1(alpha, 1, m)
 
 
+def test_zero_periods_run_in_the_ring_of_the_tables():
+    # m = 0 is the column (1, 0) as the kernel returns it: a table mixing
+    # ints and Laurent polynomials runs on LaurentPoly values at every j.
+    q = LaurentPoly.q()
+    alpha = PeriodicAlpha([1, q, 2], [q, 1, 3], [-1, -1, q])
+    for j in range(-1, 2):
+        value = closed_form_general(alpha, 1, 0, j)
+        assert type(value) is LaurentPoly and value == continuant_rec(alpha, 1 - j, j), j
+
+
 def test_general_matches_oracle_l3():
     rng = random.Random(44)
     for _ in range(10):
