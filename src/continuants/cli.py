@@ -13,7 +13,7 @@ import contextlib
 import sys
 from typing import NamedTuple
 
-from .ring import DEFAULT_MODULUS, LaurentRing, ModInt, ModIntRing, RationalRing, ring_by_name
+from .ring import LaurentRing, ModIntRing, RationalRing, ring_by_name
 
 # Each subcommand handler imports the library modules it runs when it runs,
 # so a command loads only those (tests/test_startup.py pins the sets).
@@ -158,9 +158,8 @@ def _cmd_continuant(args) -> int:
 
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
-    p = args.p if args.p is not None else cfg.p
     with _long_output():
-        print(cfg.spec.format(STRATEGIES[args.strategy](alpha, p, args.n)))
+        print(cfg.spec.format(STRATEGIES[args.strategy](alpha, cfg.p, args.n)))
     return 0
 
 
@@ -171,7 +170,6 @@ def _cmd_periodic(args) -> int:
 
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
-    p = args.p if args.p is not None else cfg.p
     # Plain K_{lm} without --j; an explicit --j has the -1 <= j <= l-2 domain.
     j = 0 if args.j is None else args.j
     if args.j is not None:
@@ -181,7 +179,7 @@ def _cmd_periodic(args) -> int:
     n = alpha.l * args.m + j
     if args.verify and n > ORACLE_MAX_N:  # refuse before printing the value
         raise ValueError(f"the dense oracle refuses n = {n} > ORACLE_MAX_N = {ORACLE_MAX_N}")
-    evaluate = lambda name: STRATEGIES[name](alpha, p - j, n)
+    evaluate = lambda name: STRATEGIES[name](alpha, cfg.p - j, n)
     value = evaluate(args.strategy)
     with _long_output():
         print(cfg.spec.format(value))
@@ -249,37 +247,16 @@ def _cmd_chebyshev(args) -> int:
     return 0
 
 
-def _random_modint_alpha(l: int = 3, seed: int = 12345,
-                         modulus: int = DEFAULT_MODULUS) -> PeriodicAlpha:
-    import random
-
-    from .continuant import PeriodicAlpha
-
-    ring_by_name("modint", modulus)  # refuses a modulus that is not an odd prime
-    rng = random.Random(seed)
-    mk = lambda: ModInt(rng.randrange(1, 100), modulus)
-    return PeriodicAlpha([mk() for _ in range(l)], [mk() for _ in range(l)],
-                         [mk() for _ in range(l)], base=1)
-
-
 def _cmd_bench(args) -> int:
     from .bench import render_table, run_bench
 
     m_list = [int(s) for s in args.m_list.split(",") if s.strip()]
     if not m_list:  # an empty table would check nothing
         raise ValueError("bench refuses an --m-list with no sizes")
-    # The random table's options that were given; _random_modint_alpha has the defaults.
-    given = {k: v for k in ("l", "seed", "modulus") if (v := getattr(args, k)) is not None}
-    if args.config:
-        if given:
-            raise ValueError(f"bench refuses {', '.join('--' + k for k in given)} with --config")
-        cfg = load_config(args.config)
-        if cfg.ring != "modint":
-            raise ValueError("bench configs must use ring=modint")
-        alpha = cfg.to_alpha()
-    else:
-        alpha = _random_modint_alpha(**given)
-    reports = run_bench(alpha, m_list)
+    cfg = load_config(args.config)
+    if cfg.ring != "modint":
+        raise ValueError("bench configs must use ring=modint")
+    reports = run_bench(cfg.to_alpha(), m_list)
     if args.csv:
         print("strategy,l,m,ns,ops,digest")
         for r in reports:
@@ -313,14 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cont = sub.add_parser("continuant", help="evaluate K_n for a config")
     p_cont.add_argument("--config", required=True)
-    p_cont.add_argument("--p", type=int, default=None)
     p_cont.add_argument("--n", type=int, required=True)
     p_cont.add_argument("--strategy", choices=CONTINUANT_STRATEGIES, default="rec")
     p_cont.set_defaults(func=_cmd_continuant)
 
     p_per = sub.add_parser("periodic", help="evaluate K_{lm+j} closed forms")
     p_per.add_argument("--config", required=True)
-    p_per.add_argument("--p", type=int, default=None)
     p_per.add_argument("--m", type=int, required=True)
     p_per.add_argument("--j", type=int, default=None,
                        help="offset in -1..l-2; omit for plain K_{lm}")
@@ -350,11 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cheb.set_defaults(func=_cmd_chebyshev)
 
     p_bench = sub.add_parser("bench", help="compare evaluation strategies")
-    p_bench.add_argument("--l", type=int)
+    p_bench.add_argument("--config", required=True, help="a ring=modint config")
     p_bench.add_argument("--m-list", required=True, help="comma-separated m values")
-    p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--modulus", type=int)
     p_bench.add_argument("--csv", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)
 

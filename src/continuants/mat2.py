@@ -63,17 +63,20 @@ def mat_power_naive(a: Mat2, m: int) -> Mat2:
 
 
 def mat_power_binexp(a: Mat2, m: int) -> Mat2:
-    """A^m by binary exponentiation, O(log m) multiplications."""
+    """A^m by binary exponentiation from the leading bit of m; A^0 = I.
+
+    The product starts from A itself, so m >= 1 takes
+    m.bit_length() + popcount(m) - 2 multiplications.
+    """
     if m < 0:
         raise ValueError("nonnegative powers only")
-    result = Mat2.identity_like(a.a)
-    base = a
-    while m:
-        if m & 1:
-            result = result * base
-        if m > 1:
-            base = base * base
-        m >>= 1
+    if m == 0:
+        return Mat2.identity_like(a.a)
+    result = a
+    for bit in f"{m:b}"[1:]:
+        result = result * result
+        if bit == "1":
+            result = result * a
     return result
 
 

@@ -33,8 +33,8 @@ def period_trace_det(alpha: PeriodicAlpha, p: int):
     prod b_{p+j} c_{p+j} over the period.
     """
     t = transfer_matrix(alpha, p, alpha.l).trace()
-    d = alpha.one()
-    for j in range(alpha.l):
+    d = alpha.b_at(p) * alpha.c_at(p)
+    for j in range(1, alpha.l):
         d = d * (alpha.b_at(p + j) * alpha.c_at(p + j))
     return t, d
 

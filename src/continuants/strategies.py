@@ -96,18 +96,18 @@ def _shift(alpha, n_max, m_max):
 
 def _trace_det(alpha, n_max, m_max):
     base = alpha.base
+    top1, bottom1 = k_vector(alpha, base, 0)  # K_{n-1}(base), K_{n-2}(base+1) at n = 1
+    det = alpha.one()
     for n in range(1, n_max + 1):
         mat = transfer_matrix(alpha, base, n)
         bc = alpha.b_at(base + n - 1) * alpha.c_at(base + n - 1)
         top, bottom = k_vector(alpha, base, n)  # K_n(base), K_{n-1}(base+1)
-        top1, bottom1 = k_vector(alpha, base, n - 1)  # K_{n-1}(base), K_{n-2}(base+1)
         expected = (top, -(bc * top1), bottom, -(bc * bottom1))
-        det = alpha.one()
-        for i in range(n):
-            det = det * (alpha.b_at(base + i) * alpha.c_at(base + i))
+        det = det * bc  # prod b c over base .. base+n-1
         trace_ok = mat.trace() == expected[0] + expected[3]
         ok = (mat.a, mat.b, mat.c, mat.d) == expected and mat.det() == det and trace_ok
         yield None if ok else f"n={n}"
+        top1, bottom1 = top, bottom
 
 
 def _cf_quotient(alpha, n_max, m_max):
@@ -127,8 +127,8 @@ def _cf_quotient(alpha, n_max, m_max):
 
 def _matpow_periods(alpha, n_max, m_max):
     base, l = alpha.base, alpha.l
+    period = transfer_matrix(alpha, base, l)
     for m in range(m_max + 1):
-        period = transfer_matrix(alpha, base, l)
         ok = mat_power_cheb(period, m) == transfer_matrix(alpha, base, l * m)
         yield None if ok else f"m={m}"
 

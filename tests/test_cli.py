@@ -212,7 +212,8 @@ class TestSubcommands:
         assert capsys.readouterr() == (f"{expected}\n", "")
 
     def test_bench_csv_schema(self, capsys):
-        assert main(["bench", "--l", "2", "--m-list", "4,16", "--csv"]) == 0
+        cfg = os.path.join(REPO, "configs", "modint_l2.cfg")
+        assert main(["bench", "--config", cfg, "--m-list", "4,16", "--csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "strategy,l,m,ns,ops,digest"
         assert len(lines) == 1 + 2 * 4
@@ -257,7 +258,8 @@ class TestSubcommands:
         from continuants import bench
 
         monkeypatch.setitem(bench.STRATEGIES, "closed", lambda alpha, p, n: ModInt(-1))
-        assert main(["bench", "--l", "2", "--m-list", "3", "--csv"]) == 1
+        cfg = os.path.join(REPO, "configs", "modint_l2.cfg")
+        assert main(["bench", "--config", cfg, "--m-list", "3", "--csv"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: strategy digests disagree at m=3: ")
@@ -274,34 +276,30 @@ class TestSubcommands:
         assert capsys.readouterr().out.count("PASS") == 4
         assert len(checked) == 1
 
-    def test_bench_refuses_composite_modulus(self, capsys):
-        assert main(["bench", "--m-list", "3", "--modulus", "9"]) == 1
-        assert capsys.readouterr().err == "error: modulus must be an odd prime\n"
-
-    @pytest.mark.parametrize("options", [
-        ["--l", "7"], ["--seed", "3"], ["--modulus", "97"], ["--l", "7", "--seed", "3"],
-    ], ids=["l", "seed", "modulus", "l-seed"])
-    def test_bench_refuses_random_table_options_with_config(self, options, capsys):
-        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
-        assert main(["bench", "--config", cfg, *options, "--m-list", "2", "--csv"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--m-list", "2", "--csv"],
+        ["bench", "--config", "configs/modint_l3.cfg", "--m-list", "2", "--l", "3"],
+        ["bench", "--config", "configs/modint_l3.cfg", "--m-list", "2", "--seed", "1"],
+        ["bench", "--config", "configs/modint_l3.cfg", "--m-list", "2", "--modulus", "97"],
+        ["continuant", "--config", "configs/fib_l1.cfg", "--n", "5", "--p", "1"],
+        ["periodic", "--config", "configs/fib_l1.cfg", "--m", "5", "--p", "1"],
+    ], ids=["bench-without-config", "bench-l", "bench-seed", "bench-modulus",
+            "continuant-p", "periodic-p"])
+    def test_config_is_the_only_table_source(self, argv, monkeypatch, capsys):
+        # The table and its base index come only from --config: anything
+        # else is an argparse usage error, before any handler runs.
+        monkeypatch.chdir(REPO)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == ""
-        given = ", ".join(option for option in options if option.startswith("--"))
-        assert err == f"error: bench refuses {given} with --config\n"
-
-    def test_bench_random_table_defaults(self, capsys):
-        rows = []
-        for extra in ([], ["--l", "3", "--seed", "12345", "--modulus", str((1 << 61) - 1)]):
-            assert main(["bench", "--m-list", "2,5", "--csv", *extra]) == 0
-            lines = capsys.readouterr().out.splitlines()
-            rows.append([line.split(",")[:3] + line.split(",")[4:] for line in lines])
-        assert rows[0] == rows[1]
-        assert rows[0][1][:2] == ["rec", "3"]
+        assert out == "" and err.startswith("usage: continuants ")
 
     @pytest.mark.parametrize("m_list", [",,", ",", " "])
     def test_bench_refuses_m_list_without_sizes(self, m_list, capsys):
         # An empty table would check nothing and exit 0.
-        assert main(["bench", "--m-list", m_list, "--csv"]) == 1
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main(["bench", "--config", cfg, "--m-list", m_list, "--csv"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: bench refuses an --m-list with no sizes\n"
@@ -422,7 +420,8 @@ class TestSubcommands:
             "8", "PASS closed = 8", "PASS rec = 8", "PASS oracle = 8", "FAIL matpow = -1"]
 
     def test_bench_without_csv_prints_table(self, capsys):
-        assert main(["bench", "--l", "2", "--m-list", "4"]) == 0
+        cfg = os.path.join(REPO, "configs", "modint_l2.cfg")
+        assert main(["bench", "--config", cfg, "--m-list", "4"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["strategy", "l", "m", "time_ns", "ops", "digest"]
         assert lines[1] == "-" * len(lines[0])

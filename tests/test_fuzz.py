@@ -86,12 +86,11 @@ def command(draw):
     sub = draw(st.sampled_from(["continuant", "periodic", "verify", "bench"]))
     if sub == "continuant":
         return [sub, "--n", str(draw(st.integers(-2, 14))),
-                "--strategy", draw(st.sampled_from(["oracle", "rec", "transfer"])),
-                *_opt(draw, "--p", st.integers(-3, 3))]
+                "--strategy", draw(st.sampled_from(["oracle", "rec", "transfer"]))]
     if sub == "periodic":
         return [sub, "--m", str(draw(st.integers(-1, 5))),
                 "--strategy", draw(st.sampled_from(["closed", "rec", "oracle", "matpow"])),
-                *_opt(draw, "--j", st.integers(-2, 3)), *_opt(draw, "--p", st.integers(-3, 3)),
+                *_opt(draw, "--j", st.integers(-2, 3)),
                 *(["--verify"] if draw(st.booleans()) else [])]
     if sub == "verify":
         return [sub, "--n-max", str(draw(st.integers(0, 5))),

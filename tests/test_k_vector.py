@@ -36,11 +36,11 @@ RINGS = {"rational": rand_alpha, "laurent": _laurent_alpha, "modint": _modint_al
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["verify", "--config", "modint_l3.cfg"], 149),
-    (["verify", "--config", "laurent_l3.cfg"], 157),
+    (["verify", "--config", "modint_l3.cfg"], 142),
+    (["verify", "--config", "laurent_l3.cfg"], 150),
     (["qrat", "--r", "1393", "--s", "985"], 1),
     (["periodic", "--config", "rational_l4_basic.cfg", "--m", "3", "--j", "2"], 2),
-    (["bench", "--m-list", "1,2", "--csv"], 8),
+    (["bench", "--config", "modint_l3.cfg", "--m-list", "1,2", "--csv"], 8),
 ], ids=["verify-modint", "verify-laurent", "qrat", "periodic-j2", "bench"])
 def test_kernel_passes_per_command(argv, passes, monkeypatch, capsys):
     calls = []

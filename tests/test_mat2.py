@@ -81,3 +81,18 @@ def test_trace_det_apply():
     assert mat.trace() == 9
     assert mat.det() == -1
     assert mat.apply((1, 0)) == (2, 5)
+
+
+
+def test_binexp_product_starts_from_the_matrix(monkeypatch):
+    # One squaring per bit below the leading one and one multiplication by
+    # A per further set bit: no identity * A product, and none at m = 0.
+    fib = Mat2(1, 1, 1, 0)
+    expected = [mat_power_naive(fib, m) for m in range(70)]
+    calls = []
+    multiply = Mat2.__mul__
+    monkeypatch.setattr(Mat2, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
+    for m in range(70):
+        calls.clear()
+        assert mat_power_binexp(fib, m) == expected[m]
+        assert len(calls) == (m.bit_length() + bin(m).count("1") - 2 if m else 0), m
