@@ -15,8 +15,9 @@ K_{2n}(alpha_1) / K_{2n-1}(alpha_2), the pair one ``k_vector`` pass leaves.
 
 The digit-list [1, 1, ..., 1] family gives the q-Fibonacci sequence
 F_n(q) = K_{n-1}(alpha_1), read from one ``k_vector`` pass over the digits
-[1, 1]; as period-2 data with t = 1 + q + q^-1, d = 1 it has the periodic
-closed form.
+[1, 1].  Their period matrix A = [[1 + q, q^-1], [1, q^-1]] has the constant
+trace t = q^-1 + 1 + q and determinant d = 1, so one S pair S_k = S_k(t, 1)
+gives F_{2m} = S_{m-1} and F_{2m+1} = S_m - q^-1 S_{m-1}.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .chebyshev import scaled_u_pair
 from .continuant import PeriodicAlpha, k_vector
 from .ring import LaurentFraction, LaurentPoly, Record
 
@@ -123,15 +125,15 @@ def q_fibonacci(n: int) -> LaurentPoly:
 
 
 def q_fibonacci_closed(n: int) -> LaurentPoly:
-    """F_n(q) = K_{n-1}(alpha_1) of the digits [1, 1] by the periodic closed form.
+    """F_n(q) from one S pair of the period of the digits [1, 1].
 
-    The period has t = 1 + q + q^-1 and d = 1.  Writing n - 1 = 2m + j with
-    j in {-1, 0} gives F_{2m} = S_{m-1}(t, 1) and F_{2m+1} =
-    S_{m-1}(t, 1) * (1 + q) - S_{m-2}(t, 1).
+    The period matrix A = [[1 + q, q^-1], [1, q^-1]] has trace
+    t = q^-1 + 1 + q and determinant 1.  With S_k = S_k(t, 1) from one
+    ``scaled_u_pair(n // 2, t, 1)`` pass, the top-left entry of
+    A^m = S_m * I + S_{m-1} * (A - t * I) is F_{2m+1} = S_m - q^-1 * S_{m-1},
+    and F_{2m} = S_{m-1}.
     """
-    from .periodic import closed_form_general, split  # qrat and qfib never load periodic
-
     if n < 1:
         raise ValueError("q-Fibonacci numbers start at n = 1")
-    m, j = split(2, n - 1)
-    return closed_form_general(mgo_alpha(CFDigits([1, 1])), 1 + j, m, j)
+    s_m, s_m1 = scaled_u_pair(n // 2, LaurentPoly({-1: 1, 0: 1, 1: 1}), 1)
+    return s_m - s_m1.shift(-1) if n % 2 else s_m1

@@ -26,6 +26,8 @@ the table.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, count, islice
+
 from .continuant import (
     PeriodicAlpha,
     cf_eval,
@@ -35,7 +37,7 @@ from .continuant import (
     shift_check,
     transfer_matrix,
 )
-from .mat2 import mat_power_binexp, mat_power_cheb, scaled_u_pair_binexp
+from .mat2 import Mat2, mat_power_binexp, mat_power_cheb, scaled_u_pair_binexp
 from .periodic import closed_form_general, offset_step, split
 
 
@@ -94,18 +96,19 @@ def _shift(alpha, n_max, m_max):
             yield None if shift_check(alpha, alpha.base, n, m) else f"n={n} m={m}"
 
 
+def _factor_products(alpha, p):
+    """A_1(p), A_2(p), ...: each transfer product extends the last by one factor."""
+    return accumulate((transfer_matrix(alpha, i, 1) for i in count(p)), Mat2.__mul__)
+
+
 def _trace_det(alpha, n_max, m_max):
     base = alpha.base
     top1, bottom1 = k_vector(alpha, base, 0)  # K_{n-1}(base), K_{n-2}(base+1) at n = 1
-    det = alpha.one()
-    for n in range(1, n_max + 1):
-        mat = transfer_matrix(alpha, base, n)
+    for n, mat in zip(range(1, n_max + 1), _factor_products(alpha, base)):
         bc = alpha.b_at(base + n - 1) * alpha.c_at(base + n - 1)
         top, bottom = k_vector(alpha, base, n)  # K_n(base), K_{n-1}(base+1)
-        expected = (top, -(bc * top1), bottom, -(bc * bottom1))
-        det = det * bc  # prod b c over base .. base+n-1
-        trace_ok = mat.trace() == expected[0] + expected[3]
-        ok = (mat.a, mat.b, mat.c, mat.d) == expected and mat.det() == det and trace_ok
+        det = bc if n == 1 else det * bc  # prod b c over base .. base+n-1
+        ok = mat == (top, -(bc * top1), bottom, -(bc * bottom1)) and mat.det() == det
         yield None if ok else f"n={n}"
         top1, bottom1 = top, bottom
 
@@ -128,9 +131,11 @@ def _cf_quotient(alpha, n_max, m_max):
 def _matpow_periods(alpha, n_max, m_max):
     base, l = alpha.base, alpha.l
     period = transfer_matrix(alpha, base, l)
-    for m in range(m_max + 1):
-        ok = mat_power_cheb(period, m) == transfer_matrix(alpha, base, l * m)
-        yield None if ok else f"m={m}"
+    # A_{lm}(base): the empty product at m = 0, then every l-th running product.
+    references = chain([transfer_matrix(alpha, base, 0)],
+                       islice(_factor_products(alpha, base), l - 1, None, l))
+    for m, reference in zip(range(m_max + 1), references):
+        yield None if mat_power_cheb(period, m) == reference else f"m={m}"
 
 
 _IDENTITIES = {

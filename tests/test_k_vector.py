@@ -18,8 +18,10 @@ import pytest
 from conftest import q_fibonacci_parity, rand_alpha, rand_laurent, rand_modint
 from continuants import ModInt, PeriodicAlpha, closed_form_general, continuant_rec, k_vector
 from continuants import chebyshev, cli, continuant, ring
+from continuants.mat2 import Mat2
 from continuants.qrational import q_fibonacci_closed
-from continuants.ring import modint_ops, reset_modint_ops
+from continuants.ring import LaurentPoly, modint_ops, reset_modint_ops
+from test_startup import run_fresh
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -55,6 +57,25 @@ def test_kernel_passes_per_command(argv, passes, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("config, products", [
+    ("modint_l3.cfg", 79), ("laurent_l3.cfg", 79), ("rational_l4_basic.cfg", 113),
+])
+def test_verify_mat2_products_per_config(config, products, monkeypatch, capsys):
+    # trace/det and matpow-periods read their references off one running
+    # transfer product, extended factor by factor from its first factor.
+    calls = []
+    mul = Mat2.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting)
+    assert cli.main(["verify", "--config", os.path.join(CONFIGS, config)]) == 0
+    capsys.readouterr()
+    assert len(calls) == products
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
@@ -117,5 +138,40 @@ def test_negative_lengths():
 
 
 def test_q_fibonacci_closed_matches_the_recurrence():
-    for n in range(1, 61):
+    for n in range(1, 301):
         assert q_fibonacci_closed(n) == q_fibonacci_parity(n), n
+
+
+def test_q_fibonacci_closed_reads_one_s_pair(monkeypatch):
+    passes, products = [], []
+
+    def counting(*args):
+        passes.append(args)
+        return ring._three_term(*args)
+
+    def counted(name, mul):
+        def wrapped(self, other):
+            products.append(name)
+            return mul(self, other)
+        return wrapped
+
+    monkeypatch.setattr(continuant, "_three_term", counting)
+    monkeypatch.setattr(chebyshev, "_three_term", counting)
+    monkeypatch.setattr(Mat2, "__mul__", counted("Mat2", Mat2.__mul__))
+    for op in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, op, counted("LaurentPoly", getattr(LaurentPoly, op)))
+    for n in (1, 2, 7, 700):
+        passes.clear()
+        q_fibonacci_closed(n)
+        assert len(passes) == 1, n
+    assert products == []
+    probe = """\
+import sys
+from continuants.qrational import q_fibonacci_closed
+q_fibonacci_closed(9)
+sys.stderr.write(str("continuants.periodic" in sys.modules))
+"""
+    assert run_fresh(probe) == "False"
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="start at n = 1"):
+            q_fibonacci_closed(n)

@@ -74,7 +74,8 @@ def test_modint_bench_skips_dataclasses():
     ["qfib", "--n", "9"],
 ], ids=lambda argv: argv[0])
 def test_q_commands_load_no_periodic_module(argv):
-    # q_fibonacci_closed imports continuants.periodic only when it runs.
+    # Neither command runs a periodic strategy; q_fibonacci_closed reads its S pair
+    # from chebyshev, so no q route imports continuants.periodic.
     assert loaded_after(*argv) == {f"continuants.{m}" for m in (
         "cli", "ring", "chebyshev", "mat2", "continuant", "qrational")}
 
