@@ -18,7 +18,8 @@ _EXPORTS = {
                   "u_coeffs_hypergeometric", "u_genfun_coeff"),
     "continuant": ("LEIBNIZ_MAX_N", "ORACLE_MAX_N", "PeriodicAlpha", "cf_eval",
                    "continuant_det_oracle", "continuant_rec", "det_bareiss",
-                   "det_leibniz", "k_vector", "shift_check", "transfer_matrix"),
+                   "det_leibniz", "k_vector", "shift_check", "transfer_matrix",
+                   "transfer_products"),
     "mat2": ("Mat2", "mat_power_binexp", "mat_power_cheb", "mat_power_naive"),
     "periodic": ("closed_form_general", "closed_form_klm", "closed_form_klm_minus1",
                  "period_trace_det"),
@@ -26,8 +27,8 @@ _EXPORTS = {
                   "q_fibonacci_closed", "q_integer", "q_rational"),
     "quaternion": ("Quaternion", "quat_mul", "quat_power_cheb", "quat_power_naive"),
     "strategies": ("VERIFY_MAX",),
-    "ring": ("DEFAULT_MODULUS", "LaurentFraction", "LaurentPoly", "ModInt", "Rational",
-             "field_div", "parse_laurent", "ring_by_name", "ring_one", "ring_zero"),
+    "ring": ("DEFAULT_MODULUS", "LaurentFraction", "LaurentPoly", "ModInt", "field_div",
+             "parse_laurent", "ring_by_name", "ring_one", "ring_zero"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

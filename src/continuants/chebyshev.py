@@ -115,15 +115,15 @@ def scaled_u(m: int, t, d):
 
     S_{-1} = 0 and S_0 = 1; any exact ring works.
     """
+    if m == -1:
+        return ring_zero(t)
     return scaled_u_pair(m, t, d)[0]
 
 
 def scaled_u_pair(m: int, t, d):
-    """(S_m, S_{m-1}) in one pass: the continuant with a = t and bc = d."""
-    if m < -1:
-        raise ValueError("S_m is defined for m >= -1")
-    if m == -1:
-        return ring_zero(t), None
+    """(S_m, S_{m-1}) in one pass, m >= 0: the continuant with a = t and bc = d."""
+    if m < 0:
+        raise ValueError("the S pair (S_m, S_{m-1}) is defined for m >= 0")
     return _three_term([t], [d], None, m)
 
 

@@ -11,15 +11,16 @@ c_p..c_{p+n-2}, extended by K_{-1} = 0, K_0 = 1.  Four routes compute it:
 * ``k_vector`` runs the three-term recurrence
   K_n = a_p K_{n-1}(shifted) - b_p c_p K_{n-2}(shifted twice) iteratively,
   one pass giving (K_n(p), K_{n-1}(p+1)); ``continuant_rec`` reads K_n,
-* ``transfer_matrix`` multiplies the 2x2 factors L(a, -bc) = [[a, -bc],
-  [1, 0]], whose product encodes four consecutive continuants,
+* ``transfer_products`` is the one running product of the 2x2 factors
+  L(a, -bc) = [[a, -bc], [1, 0]], each product encoding four consecutive
+  continuants; ``transfer_matrix`` reads its item n,
 * the closed forms for periodic data live in :mod:`continuants.periodic`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import permutations
+from itertools import accumulate, count, islice, permutations
 from typing import NamedTuple
 
 from .mat2 import Mat2
@@ -231,21 +232,31 @@ def continuant_det_oracle(alpha: PeriodicAlpha, p: int, n: int):
     return det_bareiss(tridiagonal_matrix(alpha, p, n))
 
 
+def transfer_products(alpha: PeriodicAlpha, p: int):
+    """A_0(p), A_1(p), A_2(p), ...: left-to-right products of the factors
+    [[a_i, -b_i c_i], [1, 0]], i >= p, each the last times one factor.
+
+    A_0 is the identity (empty product), which keeps the shift identity
+    uniform at m = 0; the products then start from the first factor, so
+    reaching A_n costs n - 1 multiplications.
+    """
+    one, zero = alpha.one(), alpha.zero()
+    yield Mat2(one, zero, zero, one)
+    yield from accumulate((Mat2(alpha.a_at(i), -(alpha.b_at(i) * alpha.c_at(i)), one, zero)
+                           for i in count(p)), Mat2.__mul__)
+
+
 def transfer_matrix(alpha: PeriodicAlpha, p: int, n: int) -> Mat2:
     """Left-to-right product of the n factors [[a_i, -b_i c_i], [1, 0]], i >= p.
 
-    The product starts from the first factor, so n factors cost n - 1
-    multiplications; n = 0 yields the identity (empty product), which
-    keeps the shift identity uniform at m = 0.
+    Item n of ``transfer_products``: the product starts from the first
+    factor, so n factors cost n - 1 multiplications; n = 0 yields the
+    identity (empty product), which keeps the shift identity uniform at
+    m = 0.
     """
     if n < 0:
         raise ValueError("transfer_matrix needs n >= 0")
-    one, zero = alpha.one(), alpha.zero()
-    result = Mat2(one, zero, zero, one)
-    for i in range(p, p + n):
-        factor = Mat2(alpha.a_at(i), -(alpha.b_at(i) * alpha.c_at(i)), one, zero)
-        result = factor if i == p else result * factor
-    return result
+    return next(islice(transfer_products(alpha, p), n, None))
 
 
 def shift_check(alpha: PeriodicAlpha, p: int, n: int, m: int) -> bool:

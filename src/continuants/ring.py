@@ -43,8 +43,6 @@ import re
 from fractions import Fraction
 from itertools import cycle, islice
 
-Rational = Fraction
-
 #: Default benchmark modulus: the Mersenne prime 2^61 - 1.
 DEFAULT_MODULUS = (1 << 61) - 1
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_fraction
+from conftest import rand_fraction, rand_laurent, rand_modint
 from continuants import (
     complete_homogeneous,
     pieri_check,
@@ -14,6 +14,8 @@ from continuants import (
     u_genfun_coeff,
 )
 from continuants import chebyshev, ring
+from continuants.chebyshev import scaled_u_pair
+from continuants.mat2 import scaled_u_pair_binexp
 
 # Degrees whose packed S_n(x, 1) slots (1-norm F_{n+1}) are 48, 96 and 184
 # bits wide, against 24 bits at n = 30.
@@ -129,6 +131,19 @@ def test_scaled_u_examples():
     assert scaled_u(3, Fraction(2), Fraction(1)) == 4
     with pytest.raises(ValueError):
         scaled_u(-2, t, d)
+
+
+@pytest.mark.parametrize("value", [rand_fraction, rand_laurent, lambda rng: rand_modint(rng, 97)],
+                         ids=["rational", "laurent", "modint"])
+def test_s_pair_routes_share_one_domain(value):
+    # closed_form_general takes either route as its pair: both start at m = 0.
+    rng = random.Random(41)
+    t, d = value(rng), value(rng)
+    for pair in (scaled_u_pair, scaled_u_pair_binexp):
+        with pytest.raises(ValueError):
+            pair(-1, t, d)
+    for m in range(41):
+        assert scaled_u_pair(m, t, d) == scaled_u_pair_binexp(m, t, d), m
 
 
 def test_scaled_u_is_h_of_the_roots():

@@ -304,6 +304,13 @@ class TestSubcommands:
         assert out == ""
         assert err == "error: bench refuses an --m-list with no sizes\n"
 
+    @pytest.mark.parametrize("config", ["rational_l2_basic.cfg", "laurent_l3.cfg"])
+    def test_bench_refuses_configs_outside_modint(self, config, monkeypatch, capsys):
+        monkeypatch.setattr("continuants.bench.run_bench", _no_worker)
+        cfg = os.path.join(REPO, "configs", config)
+        assert main(["bench", "--config", cfg, "--m-list", "2", "--csv"]) == 1
+        assert capsys.readouterr() == ("", "error: bench configs must use ring=modint\n")
+
     def test_quatpow_cross_check_failure_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr("continuants.quaternion.quat_power_naive",
                             lambda x, n: Quaternion(0, 0, 0, 0))

@@ -19,9 +19,11 @@ from continuants import (
     k_vector,
     shift_check,
     transfer_matrix,
+    transfer_products,
 )
 from continuants import continuant
 from continuants.continuant import tridiagonal_matrix
+from test_k_vector import RINGS
 
 
 def _corpus(seed=77, per_l=50):
@@ -253,6 +255,25 @@ class TestTransferMatrix:
             for n in range(0, 9):
                 calls.clear()
                 transfer_matrix(alpha, 1, n)
+                assert len(calls) == max(n - 1, 0), (alpha.l, n)
+
+    @pytest.mark.parametrize("ring_name", sorted(RINGS))
+    def test_item_n_of_the_running_product(self, ring_name, monkeypatch):
+        # transfer_products yields I, A_1, A_2, ...; reaching A_n extends the
+        # product one factor at a time from the first factor.
+        rng = random.Random(88)
+        cases = []
+        for l in (1, 2, 3, 4):
+            alpha, p = RINGS[ring_name](rng, l), rng.randint(-3, 3)
+            cases.append((alpha, p, [transfer_matrix(alpha, p, n) for n in range(3 * l + 4)]))
+        calls = []
+        multiply = Mat2.__mul__
+        monkeypatch.setattr(Mat2, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
+        for alpha, p, expected in cases:
+            assert expected[0] == Mat2.identity_like(alpha.a[0])
+            calls.clear()
+            for n, (item, reference) in enumerate(zip(transfer_products(alpha, p), expected)):
+                assert item == reference, (alpha.l, n)
                 assert len(calls) == max(n - 1, 0), (alpha.l, n)
 
 

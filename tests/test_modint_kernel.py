@@ -67,7 +67,8 @@ def test_rec_value_and_op_count(l, modulus):
 def test_s_pair_value_and_op_count(modulus):
     rng = random.Random(modulus)
     t, d = rand_modint(rng, modulus), rand_modint(rng, modulus)
-    assert counted(scaled_u_pair, -1, t, d) == ((ModInt(0, modulus), None), 0)
+    with pytest.raises(ValueError, match="m >= 0"):
+        scaled_u_pair(-1, t, d)
     for m in (0, 1, 57):
         value, ops = counted(scaled_u_pair, m, t, d)
         assert value == object_s_pair(m, t, d)
