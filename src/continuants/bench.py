@@ -36,10 +36,10 @@ def run_bench(alpha: PeriodicAlpha, m_list: list[int]) -> list[BenchReport]:
     """Evaluate K_{lm} by every strategy for each m; ValueError if digests disagree."""
     if not isinstance(alpha.a[0], ModInt):
         raise TypeError("benchmarks run over the ModInt ring")
+    if any(m < 0 for m in m_list):  # before the first strategy runs
+        raise ValueError("need m >= 0")
     reports: list[BenchReport] = []
     for m in m_list:
-        if m < 0:
-            raise ValueError("need m >= 0")
         digests = {}
         for name, strategy in STRATEGIES.items():
             reset_modint_ops()

@@ -45,7 +45,7 @@ class AlphaConfig(NamedTuple):
 
 _REQUIRED_KEYS = ("ring", "l", "p", "a", "b", "c")
 
-# The STRATEGIES entries each subcommand offers; `periodic --verify` runs
+# The STRATEGIES entries each subcommand offers; `periodic --verify` prints
 # its entries in this order.
 CONTINUANT_STRATEGIES = ("oracle", "rec", "transfer")
 PERIODIC_STRATEGIES = ("closed", "rec", "oracle", "matpow")
@@ -164,7 +164,6 @@ def _cmd_continuant(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
-    from .continuant import ORACLE_MAX_N
     from .periodic import check_offset
     from .strategies import STRATEGIES
 
@@ -177,19 +176,20 @@ def _cmd_periodic(args) -> int:
     elif args.m < 0:
         raise ValueError("need m >= 0")
     n = alpha.l * args.m + j
-    if args.verify and n > ORACLE_MAX_N:  # refuse before printing the value
-        raise ValueError(f"the dense oracle refuses n = {n} > ORACLE_MAX_N = {ORACLE_MAX_N}")
-    evaluate = lambda name: STRATEGIES[name](alpha, cfg.p - j, n)
-    value = evaluate(args.strategy)
+    # Every route runs once before anything prints; the oracle runs first,
+    # so above ORACLE_MAX_N its refusal comes before any other work.
+    names = PERIODIC_STRATEGIES if args.verify else (args.strategy,)
+    values = {name: STRATEGIES[name](alpha, cfg.p - j, n)
+              for name in sorted(names, key="oracle".__ne__)}
+    value = values[args.strategy]
     with _long_output():
         print(cfg.spec.format(value))
         if not args.verify:
             return 0
         status = 0
         for name in PERIODIC_STRATEGIES:
-            other = value if name == args.strategy else evaluate(name)
-            ok = other == value
-            print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.spec.format(other)}")
+            ok = values[name] == value
+            print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.spec.format(values[name])}")
             if not ok:
                 status = 1
         return status

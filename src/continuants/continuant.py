@@ -4,7 +4,7 @@ A continuant K_n is the determinant of the n x n tridiagonal matrix with
 diagonal a_p..a_{p+n-1}, superdiagonal b_p..b_{p+n-2} and subdiagonal
 c_p..c_{p+n-2}, extended by K_{-1} = 0, K_0 = 1.  Four routes compute it:
 
-* ``continuant_det_oracle`` materializes the matrix and runs fraction-free
+* ``continuant_det_oracle`` builds the matrix's band and runs fraction-free
   Bareiss elimination (structurally independent of the cofactor
   recurrence it validates; ``det_leibniz`` is a brute-force second oracle
   for small sizes),
@@ -110,27 +110,29 @@ def k_vector(alpha: PeriodicAlpha, p: int, n: int) -> KVector:
     return KVector(*_three_term(backward(alpha.a), backward(alpha.b), backward(alpha.c), n))
 
 
-def tridiagonal_matrix(alpha: PeriodicAlpha, p: int, n: int) -> list[list]:
-    """Materialize the n x n tridiagonal matrix T_n(alpha_p)."""
-    zero = alpha.zero()
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = alpha.a_at(p + i)
-        if i + 1 < n:
-            rows[i][i + 1] = alpha.b_at(p + i)
-            rows[i + 1][i] = alpha.c_at(p + i)
+def tridiagonal_matrix(alpha: PeriodicAlpha, p: int, n: int) -> list[dict]:
+    """The n x n tridiagonal matrix T_n(alpha_p) as its band, 3n - 2 cells.
+
+    Row i is the ``{column: value}`` map of its band entries.  The diagonal
+    entry is stored even when zero, so ``rows[0][0]`` names the ring.
+    """
+    rows = [{i: alpha.a_at(p + i)} for i in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = alpha.b_at(p + i)
+        rows[i + 1][i] = alpha.c_at(p + i)
     return rows
 
 
-def det_bareiss(rows: list[list]):
+def det_bareiss(rows: list[dict]):
     """Fraction-free Bareiss determinant over an exact integral domain.
 
-    Each row is a ``{column: value}`` map of its nonzero entries.  Step k,
-    with pivot ``p_k = m_kk`` (a row swap finds a nonzero one) and
-    ``p_{-1} = 1``, sets ``m_ij <- (m_ij p_k - m_ik m_kj) / p_{k-1}`` for
-    i, j > k.  Only rows with an entry in column k are updated: any other
-    row would just be scaled by ``p_k / p_{k-1}``.  Those factors telescope
-    to ``p_{k-1} / p_s`` for a row last brought to ``p_s``, so the row keeps
+    Each row is a ``{column: value}`` map; absent entries are zero, and the
+    stored ``rows[0][0]`` names the ring.  Step k, with pivot ``p_k = m_kk``
+    (a row swap finds a nonzero one) and ``p_{-1} = 1``, sets
+    ``m_ij <- (m_ij p_k - m_ik m_kj) / p_{k-1}`` for i, j > k.  Only rows
+    with an entry in column k are updated: any other row would just be
+    scaled by ``p_k / p_{k-1}``.  Those factors telescope to
+    ``p_{k-1} / p_s`` for a row last brought to ``p_s``, so the row keeps
     ``s`` and catches up, one multiply and one ``exact_div`` per entry,
     when it is next read: as pivot row, as eliminated row or as the final
     entry.  A swap carries the index with the row.  A tridiagonal matrix
@@ -140,7 +142,7 @@ def det_bareiss(rows: list[list]):
     if n == 0:
         raise ValueError("empty matrix has no ring to supply det = 1")
     zero = ring_zero(rows[0][0])
-    m = [{j: v for j, v in enumerate(r) if v != zero} for r in rows]
+    m = [{j: v for j, v in r.items() if v != zero} for r in rows]
     pivots = [ring_one(rows[0][0])]  # p_{-1}, p_0, ...: step k divides by pivots[k]
     at = [0] * n  # row i is scaled to pivots[at[i]]
     sign_flip = False
@@ -180,8 +182,11 @@ def det_bareiss(rows: list[list]):
 LEIBNIZ_MAX_N = 9
 
 
-def det_leibniz(rows: list[list]):
-    """Determinant by the full n!-term Leibniz sum (second oracle, n <= LEIBNIZ_MAX_N)."""
+def det_leibniz(rows: list[dict]):
+    """Determinant by the full n!-term Leibniz sum (second oracle, n <= LEIBNIZ_MAX_N).
+
+    Rows are ``{column: value}`` maps, as ``det_bareiss`` takes them.
+    """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix has no ring to supply det = 1")
@@ -199,7 +204,7 @@ def det_leibniz(rows: list[list]):
         )
         term = ring_one(rows[0][0])
         for i in range(n):
-            v = rows[i][perm[i]]
+            v = rows[i].get(perm[i], zero)
             if v == zero:
                 term = zero
                 break
@@ -210,17 +215,17 @@ def det_leibniz(rows: list[list]):
     return total
 
 
-#: Largest n the dense oracle accepts.  It builds n*n cells, then O(n) ring
-#: operations on the tridiagonal rows.  At n = 500 (CPython 3.11, 2-vCPU
-#: x86 host) ``rational_l3_basic.cfg`` takes 0.3 s and ``modint_l3.cfg``
-#: 0.1 s, each with a 2 MiB allocation peak; ``laurent_l3.cfg`` takes about
-#: 48 s and 35 MB peak RSS, since its entries grow to degree n.  n = 10^5
-#: would need 10^10 cells.
+#: Largest n the oracle accepts.  It stores the 3n - 2 cells of the band and
+#: makes O(n) ring operations on them, but its entries grow with n.  At
+#: n = 500 (CPython 3.11, shared 2-vCPU x86 host, in-process, median of 5)
+#: ``rational_l3_basic.cfg`` takes 41 ms and ``modint_l3.cfg`` 41 ms, with
+#: allocation peaks of 0.37 and 0.34 MiB; ``laurent_l3.cfg`` takes about 48 s
+#: (one run) with a 17.7 MiB peak, since its entries grow to degree n.
 ORACLE_MAX_N = 500
 
 
 def continuant_det_oracle(alpha: PeriodicAlpha, p: int, n: int):
-    """K_n as a Bareiss determinant of the materialized matrix, n <= ORACLE_MAX_N."""
+    """K_n as a Bareiss determinant of the tridiagonal band, n <= ORACLE_MAX_N."""
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
     if n > ORACLE_MAX_N:

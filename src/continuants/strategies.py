@@ -4,8 +4,8 @@
 must agree exactly:
 
 * ``rec``            three-term recurrence, O(n) ring ops
-* ``oracle``         Bareiss determinant of the dense n x n matrix (oracle,
-                     O(n^2) cells; keep it off the hot path)
+* ``oracle``         Bareiss determinant of the tridiagonal band (oracle,
+                     3n - 2 cells, O(n) ring ops; keep it off the hot path)
 * ``transfer``       binary power of the one-period transfer matrix,
                      O(l + log n) matrix multiplications
 * ``closed``         Chebyshev closed form with the S pair from its own
@@ -14,6 +14,12 @@ must agree exactly:
                      power of the companion matrix, O(l + log n) ring ops
 * ``matpow``         Chebyshev (Cayley-Hamilton) power of the one-period
                      transfer matrix, O(l + n/l) ring ops
+
+These bounds count ring ops.  Only ``ModInt`` ops take constant time, so
+only on ``ModInt`` tables is the O(log n) of ``transfer`` and
+``closed-matpow`` a bound in time: rational and Laurent values grow with
+n, and squaring them costs more than the linear routes' steps.  On
+``laurent_l3.cfg`` at n = 3,000 (README) they are the slowest routes.
 
 The periodic routes (all but ``rec`` and ``oracle``) write n = l*m + j
 with -1 <= j <= l - 2 (``periodic.split``), build the column

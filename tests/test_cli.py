@@ -139,6 +139,23 @@ SIZE_BOUNDS = [
 ]
 
 
+def _record_periodic_routes(monkeypatch) -> list:
+    """Wrap each `periodic` route to append (name, stdout so far) to the
+    returned list when it is called."""
+    calls = []
+
+    def recorded(name, fn):
+        def run(*args):
+            calls.append((name, sys.stdout.getvalue()))
+            return fn(*args)
+        return run
+
+    for name in cli.PERIODIC_STRATEGIES:
+        monkeypatch.setitem(strategies.STRATEGIES, name,
+                            recorded(name, strategies.STRATEGIES[name]))
+    return calls
+
+
 class TestSubcommands:
     def test_qfib_prints_polynomial(self, capsys):
         assert main(["qfib", "--n", "3"]) == 0
@@ -194,6 +211,28 @@ class TestSubcommands:
         assert sorted(calls) == sorted(cli.PERIODIC_STRATEGIES)
         assert capsys.readouterr().out.splitlines() == [
             "8", "PASS closed = 8", "PASS rec = 8", "PASS oracle = 8", "PASS matpow = 8"]
+
+    @pytest.mark.parametrize("strategy", cli.PERIODIC_STRATEGIES)
+    def test_periodic_verify_runs_every_route_before_printing(self, strategy, monkeypatch,
+                                                              capsys):
+        # Each route runs once, the oracle first, and nothing prints until all ran.
+        calls = _record_periodic_routes(monkeypatch)
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main(["periodic", "--config", cfg, "--m", "3", "--strategy", strategy,
+                     "--verify"]) == 0
+        assert calls == [("oracle", ""), ("closed", ""), ("rec", ""), ("matpow", "")]
+        assert capsys.readouterr().out.count("PASS") == 4
+
+    @pytest.mark.parametrize("strategy", cli.PERIODIC_STRATEGIES)
+    def test_periodic_verify_above_oracle_bound_runs_only_the_oracle(self, strategy,
+                                                                     monkeypatch, capsys):
+        calls = _record_periodic_routes(monkeypatch)
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main(["periodic", "--config", cfg, "--m", "200", "--strategy", strategy,
+                     "--verify"]) == 1
+        assert calls == [("oracle", "")]
+        assert capsys.readouterr() == (
+            "", f"error: the dense oracle refuses n = 600 > ORACLE_MAX_N = {ORACLE_MAX_N}\n")
 
     def test_qrat(self, capsys):
         assert main(["qrat", "--r", "8", "--s", "5"]) == 0
@@ -310,6 +349,16 @@ class TestSubcommands:
         cfg = os.path.join(REPO, "configs", config)
         assert main(["bench", "--config", cfg, "--m-list", "2", "--csv"]) == 1
         assert capsys.readouterr() == ("", "error: bench configs must use ring=modint\n")
+
+    def test_bench_refuses_negative_m_before_any_strategy(self, monkeypatch, capsys):
+        # A size after a large one must not wait for the large one's timings.
+        from continuants import bench
+
+        for name in bench.STRATEGIES:
+            monkeypatch.setitem(bench.STRATEGIES, name, _no_worker)
+        cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
+        assert main(["bench", "--config", cfg, "--m-list", "2000000,-1", "--csv"]) == 1
+        assert capsys.readouterr() == ("", "error: need m >= 0\n")
 
     def test_quatpow_cross_check_failure_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr("continuants.quaternion.quat_power_naive",

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -22,8 +23,12 @@ from continuants import (
     transfer_products,
 )
 from continuants import continuant
+from continuants.cli import load_config
 from continuants.continuant import tridiagonal_matrix
 from test_k_vector import RINGS
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def _corpus(seed=77, per_l=50):
@@ -36,11 +41,15 @@ FIB = PeriodicAlpha([Fraction(1)], [Fraction(1)], [Fraction(-1)])
 
 def _zero_heavy(seed, entry, zero, count=60, n_max=6):
     """Square matrices with about half their entries zero: zero pivots, row
-    swaps, rows that skip pivot columns, and singular matrices."""
+    swaps, rows that skip pivot columns, and singular matrices.  Each row is
+    a ``{column: value}`` map that stores its diagonal and its nonzero
+    entries."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, n_max)
-        yield [[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)]
+        rows = [[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)]
+        yield [{j: v for j, v in enumerate(row) if j == i or v != zero}
+               for i, row in enumerate(rows)]
 
 
 class TestPeriodicAlpha:
@@ -119,11 +128,37 @@ class TestDeterminantOracle:
         alpha = PeriodicAlpha([1, 2], [3, 4], [5, 6], base=1)
         rows = tridiagonal_matrix(alpha, 1, 4)
         assert rows == [
-            [1, 3, 0, 0],
-            [5, 2, 4, 0],
-            [0, 6, 1, 3],
-            [0, 0, 5, 2],
+            {0: 1, 1: 3},
+            {0: 5, 1: 2, 2: 4},
+            {1: 6, 2: 1, 3: 3},
+            {2: 5, 3: 2},
         ]
+
+    def test_matrix_is_its_band(self):
+        alpha = PeriodicAlpha([Fraction(0), Fraction(2)], [Fraction(3)] * 2, [Fraction(5)] * 2)
+        for n in range(1, 9):
+            rows = tridiagonal_matrix(alpha, 1, n)
+            assert sum(map(len, rows)) == 3 * n - 2
+            assert [sorted(row) for row in rows] == [
+                [j for j in (i - 1, i, i + 1) if 0 <= j < n] for i in range(n)]
+        assert rows[0] == {0: Fraction(0), 1: Fraction(3)}  # a zero diagonal is stored
+
+    def test_oracle_compares_only_band_entries_with_zero(self, monkeypatch):
+        """O(n) ``ModInt.__eq__`` calls, not one per cell of an n x n grid."""
+        alpha = load_config(os.path.join(CONFIGS, "modint_l3.cfg")).to_alpha()
+        calls = []
+        eq = ModInt.__eq__
+
+        def counted(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        monkeypatch.setattr(ModInt, "__eq__", counted)
+        n = 200
+        value = continuant_det_oracle(alpha, alpha.base, n)
+        assert len(calls) <= 10 * n
+        monkeypatch.undo()
+        assert value == continuant_rec(alpha, alpha.base, n)
 
     def test_oracle_equals_recurrence_on_corpus(self):
         for alpha in _corpus():
@@ -140,18 +175,18 @@ class TestDeterminantOracle:
         rng = random.Random(79)
         for _ in range(120):
             n = rng.randint(1, 5)
-            rows = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+            rows = [dict(enumerate(rand_fraction(rng) for _ in range(n))) for _ in range(n)]
             assert det_bareiss(rows) == det_leibniz(rows)
         for rows in _zero_heavy(82, rand_fraction, Fraction(0)):
             assert det_bareiss(rows) == det_leibniz(rows)
 
     def test_bareiss_handles_zero_pivots(self):
-        rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+        rows = [{0: Fraction(0), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(0)}]
         assert det_bareiss(rows) == -1
         rows = [
-            [Fraction(0), Fraction(2), Fraction(0)],
-            [Fraction(1), Fraction(0), Fraction(3)],
-            [Fraction(0), Fraction(4), Fraction(0)],
+            {0: Fraction(0), 1: Fraction(2), 2: Fraction(0)},
+            {0: Fraction(1), 1: Fraction(0), 2: Fraction(3)},
+            {0: Fraction(0), 1: Fraction(4), 2: Fraction(0)},
         ]
         assert det_bareiss(rows) == det_leibniz(rows) == 0
 
@@ -159,7 +194,8 @@ class TestDeterminantOracle:
         rng = random.Random(80)
         for _ in range(25):
             n = rng.randint(1, 4)
-            rows = [[rand_laurent(rng, span=1) for _ in range(n)] for _ in range(n)]
+            rows = [dict(enumerate(rand_laurent(rng, span=1) for _ in range(n)))
+                    for _ in range(n)]
             assert det_bareiss(rows) == det_leibniz(rows)
         for rows in _zero_heavy(83, lambda r: rand_laurent(r, span=1), LaurentPoly.zero(),
                                 count=25, n_max=5):
@@ -169,7 +205,8 @@ class TestDeterminantOracle:
         rng = random.Random(81)
         for _ in range(25):
             n = rng.randint(1, 4)
-            rows = [[ModInt(rng.randrange(11), 11) for _ in range(n)] for _ in range(n)]
+            rows = [dict(enumerate(ModInt(rng.randrange(11), 11) for _ in range(n)))
+                    for _ in range(n)]
             assert det_bareiss(rows) == det_leibniz(rows)
         for rows in _zero_heavy(84, lambda r: ModInt(r.randrange(1, 11), 11), ModInt(0, 11)):
             assert det_bareiss(rows) == det_leibniz(rows)
