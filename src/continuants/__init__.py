@@ -14,8 +14,7 @@ from importlib import import_module
 # Public name -> defining submodule.
 _EXPORTS = {
     "bench": ("BenchReport", "run_bench"),
-    "chebyshev": ("complete_homogeneous", "pieri_check", "scaled_u", "u_coeffs",
-                  "u_coeffs_hypergeometric", "u_genfun_coeff"),
+    "chebyshev": ("scaled_u", "u_coeffs", "u_coeffs_hypergeometric", "u_genfun_coeff"),
     "continuant": ("LEIBNIZ_MAX_N", "ORACLE_MAX_N", "PeriodicAlpha", "cf_eval",
                    "continuant_det_oracle", "continuant_rec", "det_bareiss",
                    "det_leibniz", "k_vector", "shift_check", "transfer_matrix",

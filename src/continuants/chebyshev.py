@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import LaurentPoly, _three_term, ring_one, ring_zero
+from .ring import LaurentPoly, _three_term, ring_zero
 
 _X = LaurentPoly.q()
 
@@ -94,22 +94,6 @@ def u_genfun_coeff(n: int, max_deg: int) -> list[int]:
     return _coeffs(b[n])
 
 
-def complete_homogeneous(n: int, x, y):
-    """h_n(x, y) = sum of all monomials x^i y^j with i + j = n."""
-    if n < 0:
-        raise ValueError("h_n needs n >= 0")
-    one = ring_one(x)
-    xpow = [one]
-    ypow = [one]
-    for _ in range(n):
-        xpow.append(xpow[-1] * x)
-        ypow.append(ypow[-1] * y)
-    total = ring_zero(x)
-    for i in range(n + 1):
-        total = total + xpow[i] * ypow[n - i]
-    return total
-
-
 def scaled_u(m: int, t, d):
     """S_m(t, d): the scaled Chebyshev recurrence S_m = t*S_{m-1} - d*S_{m-2}.
 
@@ -126,10 +110,3 @@ def scaled_u_pair(m: int, t, d):
         raise ValueError("the S pair (S_m, S_{m-1}) is defined for m >= 0")
     return _three_term([t], [d], None, m)
 
-
-def pieri_check(n: int) -> bool:
-    """Does 2x * U_n equal U_{n+1} + U_{n-1} exactly in coefficients?"""
-    if n < 0:
-        raise ValueError("pieri_check needs n >= 0")
-    lower, u, upper = (LaurentPoly(dict(enumerate(u_coeffs(k)))) for k in (n - 1, n, n + 1))
-    return 2 * _X * u == upper + lower

@@ -52,11 +52,14 @@ PERIODIC_STRATEGIES = ("closed", "rec", "oracle", "matpow")
 
 # Largest size each command accepts; above it the command refuses before
 # any work.  The README lists each bound's time and memory.  qrat bounds
-# the sum of the continued-fraction digits of r/s, the degree of [r/s]_q.
+# the sum of the continued-fraction digits of r/s, the degree of [r/s]_q,
+# and (digit sum + 1) * bit_length(r), which bounds its output bits: the
+# coefficients of [r/s]_q are positive and at most r.
 CHEBYSHEV_MAX_N = 4_000
 QFIB_MAX_N = 3_000
 QUATPOW_MAX_N = 10_000
 QRAT_MAX_DIGIT_SUM = 80_000
+QRAT_MAX_OUTPUT_BITS = 4_640_058
 
 
 def parse_config(text: str) -> AlphaConfig:
@@ -202,6 +205,10 @@ def _cmd_qrat(args) -> int:
     if sum(digits) > QRAT_MAX_DIGIT_SUM:
         raise ValueError(f"qrat refuses digit sum = {sum(digits)} > "
                          f"QRAT_MAX_DIGIT_SUM = {QRAT_MAX_DIGIT_SUM}")
+    bits = (sum(digits) + 1) * args.r.bit_length()
+    if bits > QRAT_MAX_OUTPUT_BITS:
+        raise ValueError(f"qrat refuses (digit sum + 1) * bit_length(r) = {bits} > "
+                         f"QRAT_MAX_OUTPUT_BITS = {QRAT_MAX_OUTPUT_BITS}")
     value = q_rational(digits)
     with _long_output():
         print(f"digits: {list(digits)}")

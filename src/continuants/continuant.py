@@ -32,8 +32,6 @@ class PeriodicAlpha(Record, namedtuple("PeriodicAlpha", "a b c base l")):
 
     Lookups wrap: ``a_at(m)`` returns ``a[(m - base) % l]``, so the
     sequences are l-periodic over all integers, negative included.
-    Advancing the base by one is the same as rotating all three arrays
-    left by one (see :meth:`rotated`).
     """
 
     __slots__ = ()
@@ -60,12 +58,6 @@ class PeriodicAlpha(Record, namedtuple("PeriodicAlpha", "a b c base l")):
 
     def c_at(self, m: int):
         return self.c[(m - self.base) % self.l]
-
-    def rotated(self, k: int = 1) -> "PeriodicAlpha":
-        """Rotate all arrays left by k; models shifting the sequence by k."""
-        k %= self.l
-        rot = lambda xs: xs[k:] + xs[:k]
-        return PeriodicAlpha(rot(self.a), rot(self.b), rot(self.c), self.base)
 
     def one(self):
         return ring_one(self.a[0])
@@ -229,7 +221,7 @@ def continuant_det_oracle(alpha: PeriodicAlpha, p: int, n: int):
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
     if n > ORACLE_MAX_N:
-        raise ValueError(f"the dense oracle refuses n = {n} > ORACLE_MAX_N = {ORACLE_MAX_N}")
+        raise ValueError(f"the oracle refuses n = {n} > ORACLE_MAX_N = {ORACLE_MAX_N}")
     if n == -1:
         return alpha.zero()
     if n == 0:

@@ -23,7 +23,6 @@ gives F_{2m} = S_{m-1} and F_{2m+1} = S_m - q^-1 S_{m-1}.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .chebyshev import scaled_u_pair
 from .continuant import PeriodicAlpha, k_vector
@@ -44,13 +43,6 @@ class CFDigits(Record):
         if any(not isinstance(d, int) or d <= 0 for d in self):
             raise ValueError("all digits must be positive integers")
         return self
-
-    def value(self) -> Fraction:
-        """The classical rational these digits expand."""
-        val = Fraction(self[-1])
-        for d in reversed(self[:-1]):
-            val = d + 1 / val
-        return val
 
 
 def q_integer(a: int, sign: int = 1) -> LaurentPoly:

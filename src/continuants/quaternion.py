@@ -7,10 +7,11 @@ Cayley-Hamilton power formula never leaves the rationals:
     x^n = S_n + S_{n-1} * (x - 2a) = (S_n - a*S_{n-1}) + (b*i + c*j + d*k) * S_{n-1},
 
 with S_k = S_k(2a, N), for every n >= 0 and every x, zero included.
-``quat_power_naive`` is the repeated-multiplication oracle.  It clears
-denominators once, runs the n Hamilton products on the integer quaternion
-g*x (g the lcm of the component denominators) and divides each component
-by g^n at the end, so no step reduces a gcd.
+``quat_power_naive`` is the repeated-multiplication oracle.  Both routes
+clear denominators once: they run on the integer quaternion g*x (g the lcm
+of the component denominators) and divide each component by g^n at the
+end, so no step reduces a gcd.  For the closed form this is exact because
+S_k(g*t, g^2*d) = g^k * S_k(t, d).
 """
 
 from __future__ import annotations
@@ -36,22 +37,11 @@ class Quaternion(Record, namedtuple("Quaternion", "a b c d")):
     def _make(cls, iterable):  # ``_replace`` too: components become Fractions
         return cls(*iterable)
 
-    def norm_sq(self) -> Fraction:
-        return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
-
-    def __mul__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return quat_mul(self, other)
-
     def __str__(self):
         return f"{self.a},{self.b},{self.c},{self.d}"
 
 
-ONE = Quaternion(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-I = Quaternion(Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-J = Quaternion(Fraction(0), Fraction(0), Fraction(1), Fraction(0))
-K = Quaternion(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+ONE = Quaternion(1, 0, 0, 0)
 
 
 def _hamilton(x, y) -> tuple:
@@ -71,16 +61,17 @@ def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
     return Quaternion(*_hamilton(x, y))
 
 
-def quat_power_naive(x: Quaternion, n: int) -> Quaternion:
-    """x^n by repeated multiplication (reference oracle); x^0 = 1.
+def _cleared(x: Quaternion) -> tuple:
+    """(g, g*x as an int 4-tuple), g the lcm of the component denominators."""
+    g = math.lcm(*(v.denominator for v in x))
+    return g, tuple(v.numerator * (g // v.denominator) for v in x)
 
-    The products run on the integer quaternion g*x, g the lcm of the
-    component denominators, and one division by g^n ends the loop.
-    """
+
+def quat_power_naive(x: Quaternion, n: int) -> Quaternion:
+    """x^n by repeated multiplication (reference oracle); x^0 = 1."""
     if n < 0:
         raise ValueError("nonnegative powers only")
-    g = math.lcm(*(v.denominator for v in x))
-    scaled = tuple(v.numerator * (g // v.denominator) for v in x)
+    g, scaled = _cleared(x)
     result = (1, 0, 0, 0)
     for _ in range(n):
         result = _hamilton(result, scaled)
@@ -89,8 +80,10 @@ def quat_power_naive(x: Quaternion, n: int) -> Quaternion:
 
 
 def quat_power_cheb(x: Quaternion, n: int) -> Quaternion:
-    """x^n through scaled Chebyshev values S_k(2a, |x|^2)."""
+    """x^n through scaled Chebyshev values S_k(2a, |x|^2), on g*x."""
     if n < 0:
         raise ValueError("nonnegative powers only")
-    s0, s1 = scaled_u_pair(n, 2 * x.a, x.norm_sq())  # S_n, S_{n-1}
-    return Quaternion(s0 - x.a * s1, x.b * s1, x.c * s1, x.d * s1)
+    g, (a, b, c, d) = _cleared(x)
+    s0, s1 = scaled_u_pair(n, 2 * a, a * a + b * b + c * c + d * d)  # S_n, S_{n-1}
+    den = g ** n
+    return Quaternion(*(Fraction(v, den) for v in (s0 - a * s1, b * s1, c * s1, d * s1)))

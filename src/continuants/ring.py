@@ -739,9 +739,6 @@ class LaurentFraction:
         except ValueError:
             return 0
 
-    def evaluate(self, x):
-        return Fraction(self.num.evaluate(x), self.den.evaluate(x))
-
     def __str__(self):
         if self.den == LaurentPoly.one():
             return str(self.num)

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
-from continuants import LaurentPoly, ModInt, PeriodicAlpha
+from continuants import LaurentPoly, ModInt, PeriodicAlpha, Quaternion, u_coeffs
+
+I, J, K = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
 
 
 def rand_fraction(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
@@ -36,3 +39,24 @@ def q_fibonacci_parity(n: int) -> LaurentPoly:
     for k in range(3, n + 1):
         f_prev, f_cur = f_cur, f_cur + f_prev.shift(1 if k % 2 == 1 else -1)
     return f_cur
+
+
+def complete_homogeneous(n: int, x, y):
+    """h_n(x, y), the sum of the monomials x^i y^(n-i) for 0 <= i <= n."""
+    return sum((x ** i * y ** (n - i) for i in range(n + 1)), 0 * x)
+
+
+def pieri_check(n: int) -> bool:
+    """Does 2x * U_n equal U_{n+1} + U_{n-1} exactly in coefficients?"""
+    lower, u, upper = (LaurentPoly(dict(enumerate(u_coeffs(k)))) for k in (n - 1, n, n + 1))
+    return 2 * LaurentPoly.q() * u == upper + lower
+
+
+def cf_value(digits) -> Fraction:
+    """The rational whose regular continued fraction is ``digits``."""
+    return reduce(lambda v, d: d + 1 / v, reversed(digits[:-1]), Fraction(digits[-1]))
+
+
+def evaluate_fraction(value, x) -> Fraction:
+    """A ``LaurentFraction``'s value at q = x, exactly."""
+    return Fraction(value.num.evaluate(x), value.den.evaluate(x))

@@ -11,7 +11,18 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import q_fibonacci_parity, rand_alpha, rand_fraction, rand_modint
+from conftest import (
+    I,
+    J,
+    K,
+    complete_homogeneous,
+    evaluate_fraction,
+    pieri_check,
+    q_fibonacci_parity,
+    rand_alpha,
+    rand_fraction,
+    rand_modint,
+)
 from continuants import (
     Mat2,
     PeriodicAlpha,
@@ -19,11 +30,9 @@ from continuants import (
     cf_digits,
     cf_eval,
     closed_form_general,
-    complete_homogeneous,
     continuant_det_oracle,
     continuant_rec,
     mat_power_cheb,
-    pieri_check,
     q_fibonacci,
     q_fibonacci_closed,
     q_rational,
@@ -38,7 +47,6 @@ from continuants import (
     u_coeffs_hypergeometric,
     u_genfun_coeff,
 )
-from continuants.quaternion import I, J, K
 from continuants.ring import DEFAULT_MODULUS, LaurentPoly, parse_laurent
 
 
@@ -217,7 +225,7 @@ def test_q_fibonacci_criterion():
         r = rng.randint(s + 1, 150)
         if math.gcd(r, s) != 1:
             continue
-        assert q_rational(cf_digits(r, s)).evaluate(Fraction(1)) == Fraction(r, s)
+        assert evaluate_fraction(q_rational(cf_digits(r, s)), Fraction(1)) == Fraction(r, s)
         checked += 1
     return "closed n <= 40, family n <= 8, 100 specializations"
 

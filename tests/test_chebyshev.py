@@ -4,15 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_fraction, rand_laurent, rand_modint
-from continuants import (
-    complete_homogeneous,
-    pieri_check,
-    scaled_u,
-    u_coeffs,
-    u_coeffs_hypergeometric,
-    u_genfun_coeff,
-)
+from conftest import complete_homogeneous, pieri_check, rand_fraction, rand_laurent, rand_modint
+from continuants import scaled_u, u_coeffs, u_coeffs_hypergeometric, u_genfun_coeff
 from continuants import chebyshev, ring
 from continuants.chebyshev import scaled_u_pair
 from continuants.mat2 import scaled_u_pair_binexp
@@ -110,8 +103,6 @@ def test_complete_homogeneous_examples():
     assert complete_homogeneous(0, Fraction(5), Fraction(-7)) == 1
     assert complete_homogeneous(2, Fraction(2), Fraction(3)) == 19
     assert complete_homogeneous(3, Fraction(1), Fraction(1)) == 4
-    with pytest.raises(ValueError):
-        complete_homogeneous(-1, Fraction(1), Fraction(1))
 
 
 def test_complete_homogeneous_telescoping_identity():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cf_value
 from continuants import (
     ORACLE_MAX_N,
     VERIFY_MAX,
@@ -232,7 +233,7 @@ class TestSubcommands:
                      "--verify"]) == 1
         assert calls == [("oracle", "")]
         assert capsys.readouterr() == (
-            "", f"error: the dense oracle refuses n = 600 > ORACLE_MAX_N = {ORACLE_MAX_N}\n")
+            "", f"error: the oracle refuses n = 600 > ORACLE_MAX_N = {ORACLE_MAX_N}\n")
 
     def test_qrat(self, capsys):
         assert main(["qrat", "--r", "8", "--s", "5"]) == 0
@@ -402,15 +403,15 @@ class TestSubcommands:
         ["periodic", "--m", "200", "--verify"],
     ], ids=["continuant-1e5", "continuant-bound", "periodic", "periodic-verify"])
     def test_dense_oracle_refuses_large_n(self, argv, monkeypatch, capsys):
-        def no_matrix(alpha, p, n):  # n = 10^5 would need 10^10 cells
-            raise AssertionError(f"dense oracle matrix built at n = {n}")
+        def no_matrix(alpha, p, n):
+            raise AssertionError(f"oracle band built at n = {n}")
 
         monkeypatch.setattr(continuant, "tridiagonal_matrix", no_matrix)
         cfg = os.path.join(REPO, "configs", "modint_l3.cfg")
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         out, err = capsys.readouterr()
         assert out == ""  # periodic --verify refuses before printing its value
-        assert err.startswith("error: the dense oracle refuses n = ")
+        assert err.startswith("error: the oracle refuses n = ")
         assert f"ORACLE_MAX_N = {ORACLE_MAX_N}" in err
 
 
@@ -526,6 +527,33 @@ class TestSubcommands:
         monkeypatch.setattr("continuants.quaternion.quat_power_naive", lambda x, n: value)
         assert main(argv) == 0
         assert len(seen) == 1 and capsys.readouterr().err == ""
+
+
+    @pytest.mark.parametrize("digits,bits", [([9] * 1000, 28_695_188), ([9] * 2000, 114_756_375),
+                                             ([1] * 4500, 14_061_124)],
+                             ids=["nines-1000", "nines-2000", "ones-4500"])
+    def test_qrat_refuses_outputs_above_its_bound(self, digits, bits, monkeypatch, capsys):
+        # Small digits: the digit sum passes, but the output would not fit.
+        monkeypatch.setattr("continuants.qrational.q_rational", _no_worker)
+        value = cf_value(digits)
+        assert main(["qrat", "--r", str(value.numerator), "--s", str(value.denominator)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: qrat refuses (digit sum + 1) * bit_length(r) = {bits} > "
+                f"QRAT_MAX_OUTPUT_BITS = {cli.QRAT_MAX_OUTPUT_BITS}\n")
+
+    # The bound is the largest of these four costs, that of [20000] * 4.
+    @pytest.mark.parametrize("value,bits", [
+        (Fraction(1000000007, 123456789), 2_302_650), (Fraction(80000, 79999), 1_360_017),
+        (cf_value([40000, 40000]), 2_480_031), (cf_value([20000] * 4), 4_640_058),
+    ], ids=["1000000007/123456789", "80000/79999", "40000x2", "20000x4"])
+    def test_qrat_accepts_outputs_at_its_bound(self, value, bits, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr("continuants.qrational.q_rational",
+                            lambda digits: seen.append(digits) or LaurentFraction(1))
+        assert main(["qrat", "--r", str(value.numerator), "--s", str(value.denominator)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (sum(seen[0]) + 1) * value.numerator.bit_length() == bits
+        assert bits <= cli.QRAT_MAX_OUTPUT_BITS == 4_640_058
 
 
 class TestVerifyFixtures:

@@ -63,13 +63,6 @@ class TestPeriodicAlpha:
             assert alpha.b_at(m + 3) == alpha.b_at(m)
             assert alpha.c_at(m + 3) == alpha.c_at(m)
 
-    def test_rotation_is_a_base_shift(self):
-        alpha = PeriodicAlpha([1, 2, 3], [4, 5, 6], [7, 8, 9], base=1)
-        rotated = alpha.rotated(1)
-        for m in range(-5, 6):
-            assert rotated.a_at(m) == alpha.a_at(m + 1)
-            assert rotated.c_at(m) == alpha.c_at(m + 1)
-
     def test_period_end_index_reduction(self):
         # b_{p+l-1} c_{p+l-1} = b_{p-1} c_{p-1} by periodicity.
         rng = random.Random(5)
@@ -229,6 +222,11 @@ class TestDeterminantOracle:
         assert continuant_det_oracle(alpha, 1, n) == continuant_rec(alpha, 1, n)
         assert len(calls) <= 6 * n
 
+    @pytest.mark.parametrize("det", [det_bareiss, det_leibniz])
+    def test_empty_matrix_is_refused(self, det):
+        with pytest.raises(ValueError, match="empty matrix"):
+            det([])
+
     def test_leibniz_refuses_n_above_bound(self, monkeypatch):
         def no_enumeration(_):
             raise AssertionError("permutations enumerated before the size guard")
@@ -278,6 +276,10 @@ class TestTransferMatrix:
                 for j in range(1, n + 1):
                     det *= alpha.b_at(p + j - 1) * alpha.c_at(p + j - 1)
                 assert mat.det() == det
+
+    def test_negative_factor_count_is_refused(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            transfer_matrix(FIB, 1, -1)
 
     def test_identity_at_zero_factors(self):
         assert transfer_matrix(FIB, 1, 0) == Mat2(
@@ -368,6 +370,29 @@ class TestContinuedFraction:
         value = cf_eval(qfib, 1, 4)
         expected = LaurentFraction(continuant_rec(qfib, 1, 4), continuant_rec(qfib, 2, 3))
         assert value == expected
+
+    def test_int_tables_give_fractions(self):
+        # Plain ints take the int branch of ring.field_div.
+        rng = random.Random(78)
+        checked = 0
+        for l in (1, 2, 3):
+            for _ in range(20):
+                row = [rng.randint(-4, 4) for _ in range(l)]
+                alpha = PeriodicAlpha([rng.randint(-4, 4) for _ in range(l)], row, [-1] * l)
+                for n in range(2, 3 * l + 3):
+                    try:
+                        value = cf_eval(alpha, 1, n)
+                    except ZeroDivisionError:
+                        continue
+                    assert type(value) is Fraction
+                    assert value == Fraction(continuant_rec(alpha, 1, n),
+                                             continuant_rec(alpha, 2, n - 1))
+                    checked += 1
+        assert checked >= 200
+
+    def test_needs_one_level(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            cf_eval(FIB, 1, 0)
 
     def test_requires_c_equal_minus_one(self):
         alpha = PeriodicAlpha([Fraction(1)], [Fraction(1)], [Fraction(2)])

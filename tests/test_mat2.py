@@ -42,6 +42,8 @@ def test_power_cheb_examples():
     assert mat_power_cheb(fib, 5) == Mat2(8, 5, 5, 3)
     ones = Mat2(1, 1, 1, 1)  # det = 0 branch
     assert mat_power_cheb(ones, 3) == Mat2(4, 4, 4, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mat_power_cheb(fib, -1)
 
 
 def test_power_strategies_agree_on_500_random_matrices():

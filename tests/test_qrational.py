@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import q_fibonacci_parity
+from conftest import cf_value, evaluate_fraction, q_fibonacci_parity
 from continuants import (
     CFDigits,
     LaurentPoly,
@@ -49,7 +49,7 @@ def test_cf_digits_reconstruct_value():
         if r == s:
             continue
         digits = cf_digits(r, s)
-        assert digits.value() == Fraction(r, s)
+        assert cf_value(digits) == Fraction(r, s)
         assert len(digits) % 2 == 0
 
 
@@ -91,7 +91,7 @@ def test_q_rational_two_ones():
 
 def test_q_rational_eight_fifths():
     value = q_rational(cf_digits(8, 5))
-    assert value.evaluate(Fraction(1)) == Fraction(8, 5)
+    assert evaluate_fraction(value, Fraction(1)) == Fraction(8, 5)
     # Denominator normalized: lowest exponent 0, positive leading sign.
     assert value.den.min_exp() == 0
     assert value.den.terms[value.den.max_exp()] > 0
@@ -106,7 +106,7 @@ def test_q_rational_specializes_at_q_equal_1():
         if math.gcd(r, s) != 1:
             continue
         value = q_rational(cf_digits(r, s))
-        assert value.evaluate(Fraction(1)) == Fraction(r, s)
+        assert evaluate_fraction(value, Fraction(1)) == Fraction(r, s)
         checked += 1
 
 
@@ -163,5 +163,6 @@ def test_q_fibonacci_coefficients_observed_nonnegative():
 
 
 def test_q_rational_at_q1_equals_digit_value():
-    digits = CFDigits((2, 3, 1, 4))
-    assert q_rational(digits).evaluate(Fraction(1)) == digits.value()
+    digits = CFDigits((2, 3, 1, 4))  # 43/19 = 2 + 1/(3 + 1/(1 + 1/4))
+    assert cf_digits(43, 19) == digits
+    assert evaluate_fraction(q_rational(digits), Fraction(1)) == Fraction(43, 19)

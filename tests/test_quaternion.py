@@ -3,13 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from continuants import Quaternion, quat_mul, quat_power_cheb, quat_power_naive
+from conftest import I, J, K
+from continuants import Quaternion, quat_mul, quat_power_cheb, quat_power_naive, quaternion
 from continuants.chebyshev import scaled_u
-from continuants.quaternion import I, J, K, ONE
+from continuants.quaternion import ONE
+
+# Components with 50-digit numerators and denominators.
+WIDE = Quaternion(*(Fraction(10 ** 50 + i, 10 ** 49 + 3 * i) for i in range(1, 5)))
 
 
 def rand_quat(rng):
     return Quaternion(*(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2))) for _ in range(4)))
+
+
+def norm_sq(x: Quaternion) -> Fraction:
+    return sum(v * v for v in x)
 
 
 def test_unit_relations():
@@ -81,7 +89,21 @@ def test_norm_is_multiplicative_under_powers():
     for _ in range(50):
         x = rand_quat(rng)
         for n in range(0, 8):
-            assert quat_power_cheb(x, n).norm_sq() == x.norm_sq() ** n
+            assert norm_sq(quat_power_cheb(x, n)) == norm_sq(x) ** n
+
+
+def test_power_cheb_runs_its_s_pair_on_ints(monkeypatch):
+    # S_k(g*t, g^2*d) = g^k * S_k(t, d): the pair runs on the integer g*x.
+    seen = []
+    pair = quaternion.scaled_u_pair
+    monkeypatch.setattr(quaternion, "scaled_u_pair",
+                        lambda n, t, d: seen.append((type(t), type(d))) or pair(n, t, d))
+    for x in (WIDE, Quaternion(Fraction(1, 2), 0, Fraction(-2, 3), 5), Quaternion(0, 0, 0, 0)):
+        for n in (0, 1, 2, 7, 40):
+            value = quat_power_cheb(x, n)
+            assert value == quat_power_naive(x, n)
+            assert [type(v) for v in value] == [Fraction] * 4
+    assert set(seen) == {(int, int)}
 
 
 def test_power_naive_matches_repeated_quat_mul():

@@ -32,6 +32,7 @@ REFUSED = {
     "periodic-alpha-field": (lambda: setattr(ALPHA, "base", 1), AttributeError, None),
     "quaternion-field": (lambda: setattr(Q, "d", 0), AttributeError, None),
     "2*q": (lambda: 2 * Q, TypeError, "unsupported operand"),
+    "q*q": (lambda: Q * Q, TypeError, "unsupported operand"),  # quat_mul is the product
     "q+q": (lambda: Q + Q, TypeError, "unsupported operand"),
     "3*m": (lambda: 3 * M, TypeError, "unsupported operand"),
     "m+m": (lambda: M + M, TypeError, "unsupported operand"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rand_fraction, rand_laurent, rand_modint
+from conftest import evaluate_fraction, rand_fraction, rand_laurent, rand_modint
 from continuants import (
     LaurentFraction,
     LaurentPoly,
@@ -208,6 +208,25 @@ def test_laurent_fraction_field_axioms():
         assert (x + y) * z == x * z + y * z
         if not y.is_zero():
             assert (x / y) * y == x
+
+
+def test_laurent_fraction_negation_subtraction_and_int_division():
+    x = LaurentFraction(parse_laurent("q + 2"), parse_laurent("q^2 - 3"))
+    y = parse_laurent("2*q^-1 - 1")
+    for q in (Fraction(2), Fraction(3)):
+        at = lambda v: evaluate_fraction(v, q)
+        assert at(-x) == -at(x)
+        assert at(x - y) == at(x) - y.evaluate(q)
+        assert at(y - x) == y.evaluate(q) - at(x)
+        assert at(5 - x) == 5 - at(x)
+        assert at(7 / x) == 7 / at(x)
+
+
+def test_laurent_poly_refuses_attribute_assignment():
+    poly = parse_laurent("1 + q")
+    with pytest.raises(AttributeError, match="immutable"):
+        poly.terms = {}
+    assert poly == parse_laurent("1 + q")
 
 
 def _nonzero(rng):

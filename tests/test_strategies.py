@@ -9,7 +9,9 @@ from continuants import PeriodicAlpha, continuant_rec
 from continuants.ring import DEFAULT_MODULUS
 from continuants.strategies import STRATEGIES, split
 
+# Plain ints take the int branches of ring.exact_div (the oracle).
 RINGS = {
+    "int": lambda rng: rng.randint(-4, 4),
     "rational": rand_fraction,
     "laurent": rand_laurent,
     "modint": lambda rng: rand_modint(rng, DEFAULT_MODULUS),
@@ -36,7 +38,9 @@ def test_every_strategy_equals_the_recurrence(ring, l):
             for n in range(-1, 3 * l + 3):
                 expected = continuant_rec(alpha, p, n)
                 for name, strategy in STRATEGIES.items():
-                    assert strategy(alpha, p, n) == expected, (name, alpha, p, n)
+                    value = strategy(alpha, p, n)
+                    assert value == expected, (name, alpha, p, n)
+                    assert type(value) is type(expected), (name, alpha, p, n)
 
 
 # Small rationals with zero entries, so singular periods (d = 0) and zero
