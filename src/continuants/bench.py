@@ -9,20 +9,17 @@ structure, not bignum growth; rational continuants grow exponentially.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import strategies
 from .continuant import PeriodicAlpha
-from .ring import ModInt, modint_ops, reset_modint_ops
+from .ring import ModInt, Record, modint_ops, reset_modint_ops
 
 
-class BenchReport(NamedTuple):
-    strategy: str
-    l: int
-    m: int
-    ns: int
-    ops: int
-    digest: int
+class BenchReport(Record, namedtuple("BenchReport", "strategy l m ns ops digest")):
+    """One strategy's run at one m: time in ns, ModInt ops and the K_{lm} digest."""
+
+    __slots__ = ()
 
     def csv_row(self) -> str:
         return f"{self.strategy},{self.l},{self.m},{self.ns},{self.ops},{self.digest}"

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
-from .ring import LaurentRing, ModIntRing, RationalRing, ring_by_name
+from .ring import RationalRing, Record, ring_by_name
 
 # Each subcommand handler imports the library modules it runs when it runs,
 # so a command loads only those (tests/test_startup.py pins the sets).
@@ -25,17 +25,11 @@ class ConfigError(ValueError):
     """Raised for malformed config files; the message names line and field."""
 
 
-class AlphaConfig(NamedTuple):
+class AlphaConfig(Record, namedtuple("AlphaConfig", "ring l p a b c spec")):
     """Parsed coefficient config: ring name, period, base, the parsed
     coefficient arrays and the ring descriptor that parsed them."""
 
-    ring: str
-    l: int
-    p: int
-    a: list
-    b: list
-    c: list
-    spec: RationalRing | LaurentRing | ModIntRing
+    __slots__ = ()
 
     def to_alpha(self) -> PeriodicAlpha:
         from .continuant import PeriodicAlpha

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, count, islice, permutations
-from typing import NamedTuple
 
 from .mat2 import Mat2
 from .ring import Record, _three_term, exact_div, field_div, ring_one, ring_zero
@@ -70,25 +69,18 @@ class PeriodicAlpha(Record, namedtuple("PeriodicAlpha", "a b c base l")):
                 f"c={list(self.c)}, base={self.base})")
 
 
-class KVector(NamedTuple):
-    """Pair of consecutive continuants (K_{n}(p), K_{n-1}(p+1))."""
-
-    top: object
-    bottom: object
-
-
 def continuant_rec(alpha: PeriodicAlpha, p: int, n: int):
     """K_n with base index p by the three-term recurrence, O(n) ring ops.
 
-    The top entry of ``k_vector(alpha, p, n)``; K_{-1}(p) = 0 is the bottom
+    The first entry of ``k_vector(alpha, p, n)``; K_{-1}(p) = 0 is the second
     entry of ``k_vector(alpha, p - 1, 0)``, in the ring the tables run in.
     """
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
-    return k_vector(alpha, p, n).top if n >= 0 else k_vector(alpha, p - 1, 0).bottom
+    return k_vector(alpha, p, n)[0] if n >= 0 else k_vector(alpha, p - 1, 0)[1]
 
 
-def k_vector(alpha: PeriodicAlpha, p: int, n: int) -> KVector:
+def k_vector(alpha: PeriodicAlpha, p: int, n: int) -> tuple:
     """(K_n(alpha_p), K_{n-1}(alpha_{p+1})) from one recurrence pass, O(n) ring ops.
 
     Step j computes K_j(base p + n - j) = a*K_{j-1} - b*c*K_{j-2}; the last
@@ -99,7 +91,7 @@ def k_vector(alpha: PeriodicAlpha, p: int, n: int) -> KVector:
     # Step j reads index p + n - j: walk the period backwards from p + n - 1.
     top = p + n - 1 - alpha.base
     backward = lambda xs: [xs[(top - i) % alpha.l] for i in range(alpha.l)]
-    return KVector(*_three_term(backward(alpha.a), backward(alpha.b), backward(alpha.c), n))
+    return _three_term(backward(alpha.a), backward(alpha.b), backward(alpha.c), n)
 
 
 def tridiagonal_matrix(alpha: PeriodicAlpha, p: int, n: int) -> list[dict]:
@@ -260,9 +252,8 @@ def shift_check(alpha: PeriodicAlpha, p: int, n: int, m: int) -> bool:
     """Check k_{n+1}(p) == A_m(p) * k_{n+1-m}(p+m), all via the recurrence."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    lhs = k_vector(alpha, p, n + 1)
-    rhs = transfer_matrix(alpha, p, m).apply(k_vector(alpha, p + m, n + 1 - m))
-    return lhs.top == rhs[0] and lhs.bottom == rhs[1]
+    return k_vector(alpha, p, n + 1) == transfer_matrix(alpha, p, m).apply(
+        k_vector(alpha, p + m, n + 1 - m))
 
 
 def cf_eval(alpha: PeriodicAlpha, p: int, n: int):

@@ -113,7 +113,7 @@ def q_fibonacci(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("q-Fibonacci numbers start at n = 1")
-    return k_vector(mgo_alpha(CFDigits([1, 1])), 1, n - 1).top
+    return k_vector(mgo_alpha(CFDigits([1, 1])), 1, n - 1)[0]
 
 
 def q_fibonacci_closed(n: int) -> LaurentPoly:

@@ -56,8 +56,10 @@ _BITS_PER_TERM_PRODUCT = 2000
 
 
 class Record(tuple):
-    """Base of the immutable tuple records ``Mat2``, ``PeriodicAlpha``,
-    ``Quaternion`` and ``CFDigits``.
+    """Base of the library's immutable tuple records: with a
+    ``collections.namedtuple``, of ``Mat2``, ``PeriodicAlpha``,
+    ``Quaternion``, ``cli.AlphaConfig`` and ``bench.BenchReport``, and alone,
+    of the digit tuple ``CFDigits``.
 
     A record compares and hashes equal to the plain tuple of its fields, but
     tuple ordering, concatenation and repetition say nothing about the value

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import q_fibonacci_parity, rand_alpha, rand_laurent, rand_modint
 from continuants import ModInt, PeriodicAlpha, closed_form_general, continuant_rec, k_vector
-from continuants import chebyshev, cli, continuant, ring
+from continuants import chebyshev, cli, continuant, ring, strategies
 from continuants.mat2 import Mat2
 from continuants.qrational import q_fibonacci_closed
 from continuants.ring import LaurentPoly, modint_ops, reset_modint_ops
@@ -76,6 +76,24 @@ def test_verify_mat2_products_per_config(config, products, monkeypatch, capsys):
     assert cli.main(["verify", "--config", os.path.join(CONFIGS, config)]) == 0
     capsys.readouterr()
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("config", sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
+def test_verify_oracle_runs_per_config(config, monkeypatch, capsys):
+    # recurrence=oracle runs the oracle once per p in the period and per n in
+    # -1..8; no other identity runs it.
+    calls = []
+    oracle = strategies.continuant_det_oracle
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(strategies, "continuant_det_oracle", counting)
+    path = os.path.join(CONFIGS, config)
+    assert cli.main(["verify", "--config", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 10 * cli.load_config(path).l
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))

@@ -8,13 +8,17 @@ leak into the arithmetic of matrices and quaternions.
 """
 
 import copy
+import importlib
 import operator
+import pathlib
 import pickle
 from fractions import Fraction
 
 import pytest
 
-from continuants import CFDigits, LaurentPoly, Mat2, PeriodicAlpha, Quaternion
+import continuants
+from continuants import BenchReport, CFDigits, LaurentPoly, Mat2, PeriodicAlpha, Quaternion
+from continuants.ring import Record
 
 Q = Quaternion(1, 2, 3, 4)
 M = Mat2(1, 2, 3, 4)
@@ -25,6 +29,7 @@ RECORDS = {
     "periodic-alpha": lambda: PeriodicAlpha([1, 2], [3, 4], [5, 6], base=0),
     "quaternion": lambda: Quaternion(1, 2, 3, 4),
     "cf-digits": lambda: CFDigits([2, 3, 1, 4]),
+    "bench-report": lambda: BenchReport("rec", 3, 2, 1500, 40, 7),
 }
 
 REFUSED = {
@@ -74,6 +79,18 @@ def test_replace_and_make_build_through_the_constructor():
     for x in (Quaternion._make([1, 2, 3, 4]), Q._replace(b="1/2")):
         assert [type(v) for v in x] == [Fraction] * 4
     assert Q._replace(b="1/2") == (1, Fraction(1, 2), 3, 4)
+
+
+def test_every_library_record_is_a_record():
+    # One record idiom: ``ring.Record``, with a namedtuple for named fields.
+    modules = [importlib.import_module(f"continuants.{path.stem}")
+               for path in pathlib.Path(continuants.__file__).parent.glob("[!_]*.py")]
+    records = {v for m in modules for v in vars(m).values() if isinstance(v, type)
+               and issubclass(v, tuple) and v is not Record and v.__module__ == m.__name__}
+    assert {r.__name__ for r in records} == {
+        "AlphaConfig", "BenchReport", "CFDigits", "Mat2", "PeriodicAlpha", "Quaternion"}
+    assert all(issubclass(r, Record) for r in records)
+    assert [r.__name__ for r in records if not hasattr(r, "_fields")] == ["CFDigits"]
 
 
 def test_quaternion_components_become_fractions():

@@ -6,21 +6,31 @@ modulo 2^61 - 1 takes it to a ``ModInt`` one.  ``k_vector`` on the mapped
 table must equal ``k_vector`` on the Laurent table, mapped.  The Laurent side
 runs Kronecker-packed, or on the object loop for a table too sparse to pack;
 the rational side runs on scaled ints and the ``ModInt`` side on raw ints, so
-the two sides share no big-number arithmetic.
+the two sides share no big-number arithmetic.  Reduction modulo a prime that
+divides no denominator takes a rational table to a ``ModInt`` one, and the
+Laurent map commutes with every route of ``STRATEGIES`` too.
 """
 
 import contextlib
 import inspect
+import os
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from continuants import LaurentPoly, ModInt, PeriodicAlpha, k_vector
 from continuants import ring
+from continuants.cli import load_config
 from continuants.ring import DEFAULT_MODULUS
+from continuants.strategies import STRATEGIES
 
 Q_MOD = 123456789
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+LAURENT_CONFIGS = ("laurent_l1.cfg", "laurent_l2_a2.cfg", "laurent_l2_nonmonic.cfg",
+                   "laurent_l3.cfg", "qfib_l2.cfg")
 
 # One line of each branch of ``_three_term``, which runs only on that branch.
 _BRANCH_MARKERS = {
@@ -105,9 +115,53 @@ def test_ring_maps_commute_with_every_kernel_branch():
                 pair = k_vector(alpha, p, n)
                 for f in maps:
                     expected = tuple(map(f, pair))
-                    if tuple(k_vector(_mapped(alpha, f), p, n)) != expected:
+                    if k_vector(_mapped(alpha, f), p, n) != expected:
                         mismatches.append((alpha, p, n, f.__name__))
     assert mismatches == []
     # Every dense table packs, every sparse one takes the object loop, and
     # each mapped table runs on its ring's raw ints.
     assert counts == {"packed": 300, "object": 20, "rational": 300, "modint": 320}
+
+
+def _rational_tables(seed, count=200):
+    """Small rational tables: l <= 4, denominators up to 200, so that some
+    tables have a denominator divisible by 97."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        l = rng.randint(1, 4)
+        yield (PeriodicAlpha(*([Fraction(rng.randint(-9, 9), rng.randint(1, 200))
+                                for _ in range(l)] for _ in "abc"),
+                             base=rng.randint(-3, 3)),
+               rng.randint(-5, 5), rng.randint(0, 25))
+
+
+def test_rational_to_modint_map_commutes_with_the_kernel():
+    counts, skipped = Counter(), Counter()
+    mismatches = []
+    with branches_run(counts):
+        for alpha, p, n in _rational_tables(2203):
+            pair = k_vector(alpha, p, n)
+            for modulus in (DEFAULT_MODULUS, 97):
+                if any(x.denominator % modulus == 0 for x in (*alpha.a, *alpha.b, *alpha.c)):
+                    skipped[modulus] += 1  # 1/97 has no image mod 97
+                    continue
+
+                def f(x):
+                    return ModInt(x.numerator * pow(x.denominator, -1, modulus), modulus)
+
+                if k_vector(_mapped(alpha, f), p, n) != tuple(map(f, pair)):
+                    mismatches.append((alpha, p, n, modulus))
+    assert mismatches == []
+    assert skipped == {97: 11}
+    assert counts == {"rational": 200, "modint": 389}
+
+
+@pytest.mark.parametrize("config", LAURENT_CONFIGS)
+def test_laurent_to_modint_map_commutes_with_every_strategy(config):
+    alpha = load_config(os.path.join(CONFIGS, config)).to_alpha()
+    assert isinstance(alpha.a[0], LaurentPoly)
+    mapped = _mapped(alpha, mod_p)
+    mismatches = [(name, p, n) for name, route in STRATEGIES.items()
+                  for p in range(alpha.base, alpha.base + alpha.l) for n in range(-1, 13)
+                  if mod_p(route(alpha, p, n)) != route(mapped, p, n)]
+    assert mismatches == []
