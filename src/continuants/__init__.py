@@ -14,7 +14,7 @@ from importlib import import_module
 # Public name -> defining submodule.
 _EXPORTS = {
     "bench": ("BenchReport", "run_bench"),
-    "chebyshev": ("scaled_u", "u_coeffs", "u_coeffs_hypergeometric", "u_genfun_coeff"),
+    "chebyshev": ("u_coeffs", "u_coeffs_hypergeometric", "u_genfun_coeff"),
     "continuant": ("LEIBNIZ_MAX_N", "ORACLE_MAX_N", "PeriodicAlpha", "cf_eval",
                    "continuant_det_oracle", "continuant_rec", "det_bareiss",
                    "det_leibniz", "k_vector", "shift_check", "transfer_matrix",
@@ -22,8 +22,8 @@ _EXPORTS = {
     "mat2": ("Mat2", "mat_power_binexp", "mat_power_cheb", "mat_power_naive"),
     "periodic": ("closed_form_general", "closed_form_klm", "closed_form_klm_minus1",
                  "period_trace_det"),
-    "qrational": ("CFDigits", "QRational", "cf_digits", "mgo_alpha", "q_fibonacci",
-                  "q_fibonacci_closed", "q_integer", "q_rational"),
+    "qrational": ("CFDigits", "cf_digits", "mgo_alpha", "q_fibonacci", "q_fibonacci_closed",
+                  "q_integer", "q_rational"),
     "quaternion": ("Quaternion", "quat_mul", "quat_power_cheb", "quat_power_naive"),
     "strategies": ("VERIFY_MAX",),
     "ring": ("DEFAULT_MODULUS", "LaurentFraction", "LaurentPoly", "ModInt", "field_div",

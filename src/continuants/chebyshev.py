@@ -1,15 +1,16 @@
 """Chebyshev polynomials of the second kind, exactly.
 
 Three independent routes compute U_n: the three-term recurrence (primary,
-one ``scaled_u`` pass of the ring kernel), the terminating Gauss
+one ``scaled_u_pair`` pass of the ring kernel), the terminating Gauss
 hypergeometric sum, and truncated inversion of the generating function
 1 / (1 - 2xu + u^2).  All three do their arithmetic on ``LaurentPoly``
 values in x; a polynomial is returned as its integer coefficient list in
 ascending degree, the zero polynomial as the empty list.
 
-``scaled_u`` is the square-root-free workhorse used everywhere else: for a
-trace t and determinant d it evaluates S_m(t, d), the bivariate polynomial
-satisfying S_m = t*S_{m-1} - d*S_{m-2} with S_{-1} = 0, S_0 = 1.  Whenever
+``scaled_u_pair`` is the square-root-free workhorse used everywhere else:
+for a trace t and determinant d it evaluates (S_m(t, d), S_{m-1}(t, d)),
+where S_m is the bivariate polynomial satisfying
+S_m = t*S_{m-1} - d*S_{m-2} with S_{-1} = 0, S_0 = 1.  Whenever
 d = rho_plus * rho_minus and t = rho_plus + rho_minus, S_m equals the
 complete homogeneous symmetric polynomial h_m(rho_plus, rho_minus), i.e.
 d^(m/2) * U_m(t / (2*sqrt(d))) without ever forming the square root.
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import LaurentPoly, _three_term, ring_zero
+from .ring import LaurentPoly, _three_term
 
-_X = LaurentPoly.q()
+_X = LaurentPoly({1: 1})
 
 
 def _coeffs(p: LaurentPoly) -> list[int]:
@@ -41,9 +42,9 @@ def u_coeffs(n: int) -> list[int]:
     """
     if n < -2:
         raise ValueError("U_n is defined for n >= -2")
-    if n == -2:
-        return [-1]
-    return [c << k for k, c in enumerate(_coeffs(scaled_u(n, _X, 1)))]
+    if n < 0:
+        return [-1] if n == -2 else []
+    return [c << k for k, c in enumerate(_coeffs(scaled_u_pair(n, _X, 1)[0]))]
 
 
 def _pochhammer(a, m: int):
@@ -62,7 +63,7 @@ def u_coeffs_hypergeometric(n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError("hypergeometric form needs n >= 0")
-    total, power = LaurentPoly(), LaurentPoly.one()  # power = (1 - x)^k
+    total, power = LaurentPoly(), LaurentPoly({0: 1})  # power = (1 - x)^k
     for k in range(n + 1):
         c = (
             (n + 1)
@@ -87,25 +88,18 @@ def u_genfun_coeff(n: int, max_deg: int) -> list[int]:
     if not 0 <= n <= max_deg:
         raise ValueError("need 0 <= n <= max_deg")
     a = [1, -2 * _X, 1]
-    b = [LaurentPoly.one()]
+    b = [LaurentPoly({0: 1})]
     for k in range(1, max_deg + 1):
         terms = (a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1))
         b.append(-sum(terms, LaurentPoly()))
     return _coeffs(b[n])
 
 
-def scaled_u(m: int, t, d):
-    """S_m(t, d): the scaled Chebyshev recurrence S_m = t*S_{m-1} - d*S_{m-2}.
-
-    S_{-1} = 0 and S_0 = 1; any exact ring works.
-    """
-    if m == -1:
-        return ring_zero(t)
-    return scaled_u_pair(m, t, d)[0]
-
-
 def scaled_u_pair(m: int, t, d):
-    """(S_m, S_{m-1}) in one pass, m >= 0: the continuant with a = t and bc = d."""
+    """(S_m, S_{m-1}) in one pass, m >= 0: the continuant with a = t and bc = d.
+
+    Any exact ring works; S_{-1} = 0 is the pair's second entry at m = 0.
+    """
     if m < 0:
         raise ValueError("the S pair (S_m, S_{m-1}) is defined for m >= 0")
     return _three_term([t], [d], None, m)

@@ -120,11 +120,11 @@ def parse_config(text: str) -> AlphaConfig:
             except ValueError as exc:
                 raise ConfigError(
                     f"line {lineno}: field {key!r}[{i}]: {exc}") from None
-    return AlphaConfig(ring, l, p, arrays["a"], arrays["b"], arrays["c"], spec)
+    return AlphaConfig(ring, l, p, *(tuple(arrays[key]) for key in "abc"), spec)
 
 
 def load_config(path: str) -> AlphaConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return parse_config(fh.read())
 
 

@@ -20,13 +20,6 @@ class Mat2(Record, namedtuple("Mat2", "a b c d")):
 
     __slots__ = ()
 
-    @staticmethod
-    def identity_like(sample) -> "Mat2":
-        """Identity matrix over the ring of ``sample``."""
-        one = ring_one(sample)
-        zero = ring_zero(sample)
-        return Mat2(one, zero, zero, one)
-
     def __mul__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -56,7 +49,8 @@ def mat_power_naive(a: Mat2, m: int) -> Mat2:
     """A^m by repeated multiplication (reference oracle); A^0 = I."""
     if m < 0:
         raise ValueError("nonnegative powers only")
-    result = Mat2.identity_like(a.a)
+    one, zero = ring_one(a.a), ring_zero(a.a)
+    result = Mat2(one, zero, zero, one)
     for _ in range(m):
         result = result * a
     return result
@@ -71,7 +65,8 @@ def mat_power_binexp(a: Mat2, m: int) -> Mat2:
     if m < 0:
         raise ValueError("nonnegative powers only")
     if m == 0:
-        return Mat2.identity_like(a.a)
+        one, zero = ring_one(a.a), ring_zero(a.a)
+        return Mat2(one, zero, zero, one)
     result = a
     for bit in f"{m:b}"[1:]:
         result = result * result

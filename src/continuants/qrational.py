@@ -28,8 +28,6 @@ from .chebyshev import scaled_u_pair
 from .continuant import PeriodicAlpha, k_vector
 from .ring import LaurentFraction, LaurentPoly, Record
 
-QRational = LaurentFraction
-
 
 class CFDigits(Record):
     """Even-length tuple of positive continued-fraction digits."""
@@ -92,17 +90,17 @@ def mgo_alpha(digits: CFDigits) -> PeriodicAlpha:
     for p, digit in enumerate(digits, start=1):
         sign = 1 if p % 2 == 1 else -1
         a_list.append(q_integer(digit, sign))
-        b_list.append(LaurentPoly.monomial(1, sign * digit))
-        c_list.append(LaurentPoly.constant(-1))
+        b_list.append(LaurentPoly({sign * digit: 1}))
+        c_list.append(LaurentPoly({0: -1}))
     return PeriodicAlpha(a_list, b_list, c_list, base=1)
 
 
-def q_rational(digits: CFDigits) -> QRational:
+def q_rational(digits: CFDigits) -> LaurentFraction:
     """[r/s]_q as a normalized continuant quotient K_{2n}(1) / K_{2n-1}(2)."""
     if not isinstance(digits, CFDigits):
         digits = CFDigits(digits)
     num, den = k_vector(mgo_alpha(digits), 1, len(digits))
-    return QRational(num, den)
+    return LaurentFraction(num, den)
 
 
 def q_fibonacci(n: int) -> LaurentPoly:

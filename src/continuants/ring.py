@@ -99,7 +99,9 @@ class LaurentPoly:
 
     The zero polynomial has an empty term map.  ``__init__`` takes a dict of
     int exponents to int coefficients and is the one place that drops zero
-    coefficients, so arithmetic may hand it cancelled terms.
+    coefficients, so arithmetic may hand it cancelled terms.  It is the
+    one constructor: ``LaurentPoly({e: c})`` is c*q^e and ``LaurentPoly()``
+    is zero.
     """
 
     __slots__ = ("terms",)
@@ -117,28 +119,6 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
-
-    # --- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def q(cls) -> "LaurentPoly":
-        return cls({1: 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     # --- structure ----------------------------------------------------
 
@@ -237,7 +217,7 @@ class LaurentPoly:
         if o.is_zero():
             raise ZeroDivisionError("Laurent polynomial division by zero")
         if self.is_zero():
-            return LaurentPoly.zero()
+            return LaurentPoly()
         # Strip q-powers so both sides are ordinary polynomials.
         ns, ds = self.min_exp(), o.min_exp()
         num = self.shift(-ns)
@@ -654,7 +634,7 @@ class LaurentFraction:
         if den.is_zero():
             raise ZeroDivisionError("LaurentFraction with zero denominator")
         if num.is_zero():
-            den = LaurentPoly.one()
+            den = LaurentPoly({0: 1})
         else:
             shift = -den.min_exp()
             g = math.gcd(num.content(), den.content())
@@ -734,7 +714,7 @@ class LaurentFraction:
         # Equal values hash equal: a fraction whose value is a Laurent
         # polynomial hashes like it (and like an int constant), and every
         # other value, whatever pair it is written with, shares one hash.
-        if self.den == LaurentPoly.one():
+        if self.den.terms == {0: 1}:
             return hash(self.num)
         try:
             return hash(self.num.exact_div(self.den))
@@ -742,7 +722,7 @@ class LaurentFraction:
             return 0
 
     def __str__(self):
-        if self.den == LaurentPoly.one():
+        if self.den.terms == {0: 1}:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -758,7 +738,7 @@ def _ring_constant(x, c: int):
     if isinstance(x, Fraction):
         return Fraction(c)
     if isinstance(x, LaurentPoly):
-        return LaurentPoly.constant(c)
+        return LaurentPoly({0: c})
     if isinstance(x, ModInt):
         return ModInt(c, x.modulus)
     if isinstance(x, LaurentFraction):

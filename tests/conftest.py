@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 from functools import reduce
 
-from continuants import LaurentPoly, ModInt, PeriodicAlpha, Quaternion, u_coeffs
+from continuants import LaurentPoly, ModInt, PeriodicAlpha, Quaternion, ring_zero, u_coeffs
+from continuants.chebyshev import scaled_u_pair
 
 I, J, K = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
 
@@ -35,10 +36,15 @@ def rand_modint(rng: random.Random, modulus: int) -> ModInt:
 def q_fibonacci_parity(n: int) -> LaurentPoly:
     """F_n(q) by the parity-split recurrence on dicts, an oracle for the packed
     kernel: F_1 = F_2 = 1, F_k = F_{k-1} + q^(+-1) F_{k-2}, with q at odd k."""
-    f_prev = f_cur = LaurentPoly.one()
+    f_prev = f_cur = LaurentPoly({0: 1})
     for k in range(3, n + 1):
         f_prev, f_cur = f_cur, f_cur + f_prev.shift(1 if k % 2 == 1 else -1)
     return f_cur
+
+
+def scaled_u(m: int, t, d):
+    """S_m(t, d), the first entry of ``scaled_u_pair``, and S_{-1} = 0."""
+    return ring_zero(t) if m == -1 else scaled_u_pair(m, t, d)[0]
 
 
 def complete_homogeneous(n: int, x, y):
@@ -49,7 +55,7 @@ def complete_homogeneous(n: int, x, y):
 def pieri_check(n: int) -> bool:
     """Does 2x * U_n equal U_{n+1} + U_{n-1} exactly in coefficients?"""
     lower, u, upper = (LaurentPoly(dict(enumerate(u_coeffs(k)))) for k in (n - 1, n, n + 1))
-    return 2 * LaurentPoly.q() * u == upper + lower
+    return 2 * LaurentPoly({1: 1}) * u == upper + lower
 
 
 def cf_value(digits) -> Fraction:

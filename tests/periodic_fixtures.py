@@ -8,11 +8,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from conftest import scaled_u
 from continuants import (
     PeriodicAlpha,
     closed_form_klm,
     continuant_rec,
-    scaled_u,
     transfer_matrix,
 )
 from continuants.chebyshev import scaled_u_pair

@@ -22,11 +22,11 @@ from conftest import (
     rand_alpha,
     rand_fraction,
     rand_modint,
+    scaled_u,
 )
 from continuants import (
     Mat2,
     PeriodicAlpha,
-    QRational,
     cf_digits,
     cf_eval,
     closed_form_general,
@@ -40,14 +40,13 @@ from continuants import (
     quat_power_cheb,
     Quaternion,
     run_bench,
-    scaled_u,
     shift_check,
     transfer_matrix,
     u_coeffs,
     u_coeffs_hypergeometric,
     u_genfun_coeff,
 )
-from continuants.ring import DEFAULT_MODULUS, LaurentPoly, parse_laurent
+from continuants.ring import DEFAULT_MODULUS, LaurentFraction, LaurentPoly, parse_laurent
 
 
 def _report(name):
@@ -200,8 +199,8 @@ def test_lemma_identities():
 
 @_report("q-Fibonacci: printed values, closed form, q-rational family, q = 1")
 def test_q_fibonacci_criterion():
-    assert q_fibonacci(1) == LaurentPoly.one()
-    assert q_fibonacci(2) == LaurentPoly.one()
+    assert q_fibonacci(1) == LaurentPoly({0: 1})
+    assert q_fibonacci(2) == LaurentPoly({0: 1})
     assert q_fibonacci(3) == parse_laurent("1 + q")
     for n in range(1, 41):
         assert q_fibonacci_closed(n) == q_fibonacci_parity(n), f"closed form fails at n={n}"
@@ -214,7 +213,7 @@ def test_q_fibonacci_criterion():
 
     for n in range(1, 9):
         deformed = q_rational(cf_digits(fib(2 * n + 1), fib(2 * n)))
-        direct = QRational(q_fibonacci(2 * n + 1), q_fibonacci(2 * n))
+        direct = LaurentFraction(q_fibonacci(2 * n + 1), q_fibonacci(2 * n))
         assert deformed == direct
         assert deformed.num == direct.num and deformed.den == direct.den
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete_homogeneous, pieri_check, rand_fraction, rand_laurent, rand_modint
-from continuants import scaled_u, u_coeffs, u_coeffs_hypergeometric, u_genfun_coeff
+from conftest import (complete_homogeneous, pieri_check, rand_fraction, rand_laurent, rand_modint,
+                      scaled_u)
+from continuants import u_coeffs, u_coeffs_hypergeometric, u_genfun_coeff
 from continuants import chebyshev, ring
 from continuants.chebyshev import scaled_u_pair
 from continuants.mat2 import scaled_u_pair_binexp

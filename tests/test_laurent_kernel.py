@@ -121,7 +121,7 @@ def scaled(t: LaurentPoly, g: int) -> LaurentPoly:
 def test_strided_tables_pack_on_the_stride(g):
     """a = q^g + 1 packs one slot per exponent g i, as q + 1 does, and gives
     the q + 1 values at q^g; a slot per exponent would take about g W bits."""
-    a, e = [parse_laurent("q + 1")], [LaurentPoly.one()]
+    a, e = [parse_laurent("q + 1")], [LaurentPoly({0: 1})]
     sparse_a = [scaled(a[0], g)]
     packed = _packed_laurent(sparse_a, e, 100)
     assert packed is not None
@@ -137,7 +137,7 @@ def test_strided_tables_pack_on_the_stride(g):
 ])
 def test_sparse_support_stays_on_the_object_loop(text, packs):
     """The path follows the exponent support, and both give the same values."""
-    a, e = [parse_laurent(text)], [LaurentPoly.one()]
+    a, e = [parse_laurent(text)], [LaurentPoly({0: 1})]
     packed = _packed_laurent(a, e, 60)
     assert (packed is not None) == packs
     assert _three_term(a, e, None, 60) == first_column(PeriodicAlpha(a, e, [1]), 1, 60)
@@ -148,7 +148,7 @@ def test_stride_pre_pass_reads_each_entrys_floor_once(monkeypatch):
     which is found once per entry: an entry of 10^4 terms costs one ``min``
     over its terms, not one per term.  The entry still packs."""
     n, steps = 10**4, 2
-    a, e = [LaurentPoly(dict.fromkeys(range(n), 1))], [LaurentPoly.one()]
+    a, e = [LaurentPoly(dict.fromkeys(range(n), 1))], [LaurentPoly({0: 1})]
     calls = []
 
     def counted_min(*args, **kwargs):
@@ -173,9 +173,9 @@ def test_laurent_passes_never_call_laurent_mul(monkeypatch):
         calls.append(1)
         return mul(self, other)
 
-    q = LaurentPoly.q()
-    t, d = q + LaurentPoly.constant(2), q.shift(-2) - LaurentPoly.one()
-    alpha = PeriodicAlpha([t, 3, q.shift(-1)], [d, q, 2], [q, -1, LaurentPoly.constant(-1)])
+    q = LaurentPoly({1: 1})
+    t, d = q + LaurentPoly({0: 2}), q.shift(-2) - LaurentPoly({0: 1})
+    alpha = PeriodicAlpha([t, 3, q.shift(-1)], [d, q, 2], [q, -1, LaurentPoly({0: -1})])
     monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted_mul)
     for m in range(41):

@@ -51,6 +51,14 @@ def _references(name: str) -> list[str]:
             and not (module == home and node.lineno in own)]
 
 
+def test_no_two_public_names_are_one_object():
+    # One name per value: a public alias is a second way to build it.
+    names = {}
+    for name in continuants.__all__:
+        names.setdefault(id(getattr(continuants, name)), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
+
+
 def test_every_public_name_has_a_library_caller():
     unused = [name for name in continuants.__all__ if not _references(name)]
     assert sorted(unused) == sorted(PUBLIC_WITHOUT_LIBRARY_CALLER)

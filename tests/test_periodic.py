@@ -24,9 +24,9 @@ FIB = PeriodicAlpha([Fraction(1)], [Fraction(1)], [Fraction(-1)])
 
 def qfib_alpha():
     return PeriodicAlpha(
-        [LaurentPoly.one(), LaurentPoly.one()],
-        [LaurentPoly.q(), LaurentPoly.monomial(1, -1)],
-        [LaurentPoly.constant(-1), LaurentPoly.constant(-1)])
+        [LaurentPoly({0: 1}), LaurentPoly({0: 1})],
+        [LaurentPoly({1: 1}), LaurentPoly({-1: 1})],
+        [LaurentPoly({0: -1}), LaurentPoly({0: -1})])
 
 
 def test_klm_examples():
@@ -61,7 +61,7 @@ def test_general_trivial_offsets():
 def test_zero_periods_run_in_the_ring_of_the_tables():
     # m = 0 is the column (1, 0) as the kernel returns it: a table mixing
     # ints and Laurent polynomials runs on LaurentPoly values at every j.
-    q = LaurentPoly.q()
+    q = LaurentPoly({1: 1})
     alpha = PeriodicAlpha([1, q, 2], [q, 1, 3], [-1, -1, q])
     for j in range(-1, 2):
         value = closed_form_general(alpha, 1, 0, j)

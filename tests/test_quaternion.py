@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import I, J, K
+from conftest import I, J, K, scaled_u
 from continuants import Quaternion, quat_mul, quat_power_cheb, quat_power_naive, quaternion
-from continuants.chebyshev import scaled_u
 from continuants.quaternion import ONE
 
 # Components with 50-digit numerators and denominators.

@@ -18,6 +18,7 @@ import pytest
 
 import continuants
 from continuants import BenchReport, CFDigits, LaurentPoly, Mat2, PeriodicAlpha, Quaternion
+from continuants.cli import load_config
 from continuants.ring import Record
 
 Q = Quaternion(1, 2, 3, 4)
@@ -93,6 +94,15 @@ def test_every_library_record_is_a_record():
     assert [r.__name__ for r in records if not hasattr(r, "_fields")] == ["CFDigits"]
 
 
+def test_parsed_config_is_immutable_and_hashable():
+    cfg = load_config(str(pathlib.Path(__file__).parents[1] / "configs" / "modint_l3.cfg"))
+    assert hash(cfg) == hash(tuple(cfg))
+    assert [type(cfg.a), type(cfg.b), type(cfg.c)] == [tuple] * 3
+    with pytest.raises(AttributeError):
+        cfg.a.append(1)
+    assert len(cfg.a) == cfg.l
+
+
 def test_quaternion_components_become_fractions():
     x = Quaternion(1, 0.5, "1/3", 2)
     assert [type(v) for v in x] == [Fraction] * 4
@@ -100,6 +110,6 @@ def test_quaternion_components_become_fractions():
 
 
 def test_laurent_cancellation_stores_no_zero_coefficient():
-    q = LaurentPoly.q()
+    q = LaurentPoly({1: 1})
     assert ((1 + q) * (1 - q)).terms == {0: 1, 2: -1}
     assert (q + (-q)).terms == {}

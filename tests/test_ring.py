@@ -35,7 +35,7 @@ def _triples(rng, make, count=1000):
     "make,one,zero",
     [
         (rand_fraction, Fraction(1), Fraction(0)),
-        (rand_laurent, LaurentPoly.one(), LaurentPoly.zero()),
+        (rand_laurent, LaurentPoly({0: 1}), LaurentPoly()),
         (lambda rng: rand_modint(rng, MOD7), ModInt(1, MOD7), ModInt(0, MOD7)),
     ],
     ids=["rational", "laurent", "modint"],
@@ -71,7 +71,7 @@ def test_division_by_zero_is_an_error():
     with pytest.raises(ZeroDivisionError):
         field_div(ModInt(1, 7), ModInt(0, 7))
     with pytest.raises(ZeroDivisionError):
-        LaurentFraction(LaurentPoly.one(), LaurentPoly.zero())
+        LaurentFraction(LaurentPoly({0: 1}), LaurentPoly())
 
 
 def test_rational_construction_reduces():
@@ -82,21 +82,21 @@ def test_rational_construction_reduces():
 
 def test_mixing_ring_instances_rejected():
     with pytest.raises(TypeError):
-        Fraction(1, 2) + LaurentPoly.q()
+        Fraction(1, 2) + LaurentPoly({1: 1})
     with pytest.raises(TypeError):
-        LaurentPoly.q() * Fraction(1, 2)
+        LaurentPoly({1: 1}) * Fraction(1, 2)
     with pytest.raises(ValueError):
         ModInt(1, 7) + ModInt(1, 11)
     with pytest.raises(TypeError):
-        ModInt(1, 7) + LaurentPoly.q()
+        ModInt(1, 7) + LaurentPoly({1: 1})
 
 
 @given(st.integers(-10, 10))
 def test_laurent_q_power_shift_roundtrip(k):
     rng = random.Random(k)
     poly = rand_laurent(rng)
-    shifted = poly * LaurentPoly.monomial(1, k)
-    assert shifted.exact_div(LaurentPoly.monomial(1, k)) == poly
+    shifted = poly * LaurentPoly({k: 1})
+    assert shifted.exact_div(LaurentPoly({k: 1})) == poly
     assert poly.shift(k) == shifted
 
 
@@ -107,7 +107,7 @@ def test_laurent_exact_div():
     with pytest.raises(ValueError):
         parse_laurent("q^2 + 1").exact_div(parse_laurent("q - 1"))
     with pytest.raises(ZeroDivisionError):
-        num.exact_div(LaurentPoly.zero())
+        num.exact_div(LaurentPoly())
     # divisibility must hold over the integers, not just the rationals
     with pytest.raises(ValueError):
         parse_laurent("q^2 - 1").exact_div(parse_laurent("2*q - 2"))
@@ -146,7 +146,7 @@ def test_laurent_parse_variants():
     assert parse_laurent("2q") == parse_laurent("2*q")
     assert parse_laurent("  1+2 * q +q^-1") == LaurentPoly({0: 1, 1: 2, -1: 1})
     assert parse_laurent("-q") == LaurentPoly({1: -1})
-    assert parse_laurent("0") == LaurentPoly.zero()
+    assert parse_laurent("0") == LaurentPoly()
     with pytest.raises(ValueError):
         parse_laurent("q q")
     with pytest.raises(ValueError):
@@ -188,7 +188,7 @@ def test_laurent_fraction_construction_never_divides(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "exact_div",
                         lambda self, other: calls.append(other) or exact_div(self, other))
     value = q_rational(CFDigits([8, 9, 1, 2000, 2, 1, 52, 1]))
-    q = LaurentPoly.q()
+    q = LaurentPoly({1: 1})
     frac = LaurentFraction(q * q - 1, q - 1)
     assert calls == []
     # The polynomial-valued pair keeps its denominator, equals q + 1 and
@@ -196,7 +196,7 @@ def test_laurent_fraction_construction_never_divides(monkeypatch):
     assert frac.den == q - 1 and frac == q + 1
     assert hash(frac) == hash(q + 1) and len(calls) == 1
     assert str(frac) == "(-1 + q^2) / (-1 + q)"
-    assert value.den != LaurentPoly.one()
+    assert value.den != LaurentPoly({0: 1})
 
 
 def test_laurent_fraction_field_axioms():
@@ -238,7 +238,7 @@ def _nonzero(rng):
 
 def test_ring_helpers():
     assert ring_zero(Fraction(3)) == 0
-    assert ring_one(LaurentPoly.q()) == LaurentPoly.one()
+    assert ring_one(LaurentPoly({1: 1})) == LaurentPoly({0: 1})
     assert ring_one(ModInt(5, 7)) == ModInt(1, 7)
     assert ring_zero(7) == 0 and ring_one(7) == 1
     with pytest.raises(TypeError):
@@ -297,7 +297,7 @@ def test_modint_division_matches_fermat_inverse(modulus):
 
 
 def test_equal_values_hash_equal():
-    q = LaurentPoly.q()
+    q = LaurentPoly({1: 1})
     values = [
         0, 1, 3, -2, 10,
         Fraction(0), Fraction(3), Fraction(-2), Fraction(1, 2),
