@@ -9,11 +9,10 @@ files stay byte-stable.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from collections import namedtuple
 
-from .ring import RationalRing, Record, ring_by_name
+from .ring import RationalRing, Record, _int_text, ring_by_name
 
 # Each subcommand handler imports the library modules it runs when it runs,
 # so a command loads only those (tests/test_startup.py pins the sets).
@@ -128,25 +127,6 @@ def load_config(path: str) -> AlphaConfig:
         return parse_config(fh.read())
 
 
-@contextlib.contextmanager
-def _long_output():
-    """Lift Python's int <-> str digit limit (4300 digits) while printing.
-
-    Exact results can be far longer than the limit.  Handlers enter this
-    only after every input is parsed, because the same limit is what
-    refuses an over-long integer literal in a config or an option.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # older Pythons have no limit
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 # --- subcommand handlers ---------------------------------------------------
 
 
@@ -155,8 +135,7 @@ def _cmd_continuant(args) -> int:
 
     cfg = load_config(args.config)
     alpha = cfg.to_alpha()
-    with _long_output():
-        print(cfg.spec.format(STRATEGIES[args.strategy](alpha, cfg.p, args.n)))
+    print(cfg.spec.format(STRATEGIES[args.strategy](alpha, cfg.p, args.n)))
     return 0
 
 
@@ -179,17 +158,16 @@ def _cmd_periodic(args) -> int:
     values = {name: STRATEGIES[name](alpha, cfg.p - j, n)
               for name in sorted(names, key="oracle".__ne__)}
     value = values[args.strategy]
-    with _long_output():
-        print(cfg.spec.format(value))
-        if not args.verify:
-            return 0
-        status = 0
-        for name in PERIODIC_STRATEGIES:
-            ok = values[name] == value
-            print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.spec.format(values[name])}")
-            if not ok:
-                status = 1
-        return status
+    print(cfg.spec.format(value))
+    if not args.verify:
+        return 0
+    status = 0
+    for name in PERIODIC_STRATEGIES:
+        ok = values[name] == value
+        print(f"{'PASS' if ok else 'FAIL'} {name} = {cfg.spec.format(values[name])}")
+        if not ok:
+            status = 1
+    return status
 
 
 def _cmd_qrat(args) -> int:
@@ -204,10 +182,9 @@ def _cmd_qrat(args) -> int:
         raise ValueError(f"qrat refuses (digit sum + 1) * bit_length(r) = {bits} > "
                          f"QRAT_MAX_OUTPUT_BITS = {QRAT_MAX_OUTPUT_BITS}")
     value = q_rational(digits)
-    with _long_output():
-        print(f"digits: {list(digits)}")
-        print(f"numerator: {value.num}")
-        print(f"denominator: {value.den}")
+    print(f"digits: {list(digits)}")
+    print(f"numerator: {value.num}")
+    print(f"denominator: {value.den}")
     return 0
 
 
@@ -216,8 +193,7 @@ def _cmd_qfib(args) -> int:
 
     if args.n > QFIB_MAX_N:
         raise ValueError(f"qfib refuses n = {args.n} > QFIB_MAX_N = {QFIB_MAX_N}")
-    with _long_output():
-        print(q_fibonacci(args.n))
+    print(q_fibonacci(args.n))
     return 0
 
 
@@ -233,8 +209,7 @@ def _cmd_quatpow(args) -> int:
     value = quat_power_cheb(x, args.n)
     if value != quat_power_naive(x, args.n):
         raise ValueError("Chebyshev and naive quaternion powers disagree")
-    with _long_output():
-        print(value)
+    print(value)
     return 0
 
 
@@ -243,8 +218,7 @@ def _cmd_chebyshev(args) -> int:
 
     if args.n > CHEBYSHEV_MAX_N:
         raise ValueError(f"chebyshev refuses n = {args.n} > CHEBYSHEV_MAX_N = {CHEBYSHEV_MAX_N}")
-    with _long_output():
-        print(u_coeffs(args.n))
+    print(f"[{', '.join(map(_int_text, u_coeffs(args.n)))}]")
     return 0
 
 

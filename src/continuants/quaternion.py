@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .chebyshev import scaled_u_pair
-from .ring import Record
+from .ring import Record, _fraction_text
 
 
 class Quaternion(Record, namedtuple("Quaternion", "a b c d")):
@@ -38,7 +38,7 @@ class Quaternion(Record, namedtuple("Quaternion", "a b c d")):
         return cls(*iterable)
 
     def __str__(self):
-        return f"{self.a},{self.b},{self.c},{self.d}"
+        return ",".join(map(_fraction_text, self))
 
 
 ONE = Quaternion(1, 0, 0, 0)

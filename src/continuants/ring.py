@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 from itertools import cycle, islice
 
@@ -92,6 +93,49 @@ def reset_modint_ops() -> None:
 def modint_ops() -> int:
     """Number of ModInt ring operations since the last reset."""
     return _modint_ops
+
+
+#: Bits of the pieces that ``_int_text`` hands to ``Decimal`` whole.
+_LEAF_BITS = 2048
+#: Exact decimal arithmetic: no rounding below MAX_PREC digits, no overflow.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of the int ``n``, equal to ``str(n)`` at any length.
+
+    ``str`` refuses ints past the interpreter's int-to-str digit limit
+    (4,300 digits by default), and on 3.11 takes quadratic time.  Past the
+    limit, ``|n|`` is split at the bit position ``_LEAF_BITS * 2^j`` (j one
+    less each level), the two halves are converted the same way, and
+    ``hi * 2^k + lo`` is rebuilt in exact ``decimal`` arithmetic, whose
+    multiply is subquadratic; pieces of ``_LEAF_BITS`` bits or fewer
+    become ``Decimal`` directly.  ``Decimal`` has no digit limit.  (Radix
+    conversion by divide and conquer: Brent and Zimmermann, *Modern
+    Computer Arithmetic*, 2010, section 1.7.)
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    powers = [Decimal(1 << _LEAF_BITS)]  # powers[j] = 2^(_LEAF_BITS * 2^j)
+    while _LEAF_BITS << len(powers) < n.bit_length():
+        powers.append(_EXACT.multiply(powers[-1], powers[-1]))
+
+    def convert(x: int, j: int) -> Decimal:  # needs 0 <= x < 2^(_LEAF_BITS * 2^(j+1))
+        if x.bit_length() <= _LEAF_BITS:
+            return Decimal(x)
+        k = _LEAF_BITS << j
+        return _EXACT.fma(convert(x >> k, j - 1), powers[j],
+                          convert(x & ((1 << k) - 1), j - 1))
+
+    return "-" * (n < 0) + str(convert(abs(n), len(powers) - 1))
+
+
+def _fraction_text(x) -> str:
+    """``str`` of a ``Fraction`` or an int, at any length: ``n`` or ``n/d``."""
+    num = _int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
 
 
 class LaurentPoly:
@@ -265,10 +309,10 @@ class LaurentPoly:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if e == 0:
-                body = str(mag)
+                body = _int_text(mag)
             else:
                 var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{_int_text(mag)}*{var}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -318,19 +362,11 @@ def parse_laurent(text: str) -> LaurentPoly:
         sign = m.group("sign")
         if sign is None and not first:
             raise ValueError(f"missing +/- between terms near {s[pos:]!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") is not None else 1
-        if sign == "-":
-            coeff = -coeff
-        has_var = m.group("var1") is not None or m.group("var2") is not None
-        if m.group("exp1") is not None:
-            exp = int(m.group("exp1"))
-        elif m.group("exp2") is not None:
-            exp = int(m.group("exp2"))
-        elif has_var:
-            exp = 1
-        else:
-            exp = 0
-        terms[exp] = terms.get(exp, 0) + coeff
+        coeff = int(m.group("coeff") or 1)
+        # One alternative matched: its exponent, else 1 after a bare q, else 0.
+        var = m.group("var1") or m.group("var2")
+        exp = int(m.group("exp1") or m.group("exp2") or (1 if var else 0))
+        terms[exp] = terms.get(exp, 0) + (-coeff if sign == "-" else coeff)
         pos = m.end()
         first = False
     return LaurentPoly(terms)
@@ -788,7 +824,18 @@ def exact_div(x, y):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 
 
-class RationalRing:
+class _RingDescriptor:
+    """Descriptors compare and hash by value: same class, same state (the
+    modulus of a ``ModIntRing``), so two loads of one config are equal."""
+
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))
+
+
+class RationalRing(_RingDescriptor):
     def parse(self, text: str) -> Fraction:
         s = text.strip()
         if not _RATIONAL_RE.match(s):
@@ -799,10 +846,10 @@ class RationalRing:
             raise ValueError(f"zero denominator in {text!r}") from None
 
     def format(self, x) -> str:
-        return str(x)
+        return _fraction_text(x)
 
 
-class LaurentRing:
+class LaurentRing(_RingDescriptor):
     def parse(self, text: str) -> LaurentPoly:
         return parse_laurent(text)
 
@@ -840,7 +887,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class ModIntRing:
+class ModIntRing(_RingDescriptor):
     def __init__(self, modulus: int = DEFAULT_MODULUS):
         # Division needs a prime modulus: every nonzero residue is a unit.
         if modulus >= MAX_MODULUS:

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -6,6 +8,17 @@ from continuants import LaurentPoly, ModInt, PeriodicAlpha, Quaternion, ring_zer
 from continuants.chebyshev import scaled_u_pair
 
 I, J, K = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
+
+
+@contextlib.contextmanager
+def int_str_limit(limit: int):
+    """Set the interpreter's int-to-str digit limit (0 lifts it) for a block."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def rand_fraction(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:

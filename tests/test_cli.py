@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cf_value
+from conftest import cf_value, int_str_limit
 from continuants import (
     ORACLE_MAX_N,
     VERIFY_MAX,
@@ -17,7 +17,9 @@ from continuants import (
     continuant_rec,
     parse_laurent,
     q_fibonacci,
+    quat_power_naive,
     ring_by_name,
+    u_coeffs,
 )
 from continuants import cli, continuant, strategies
 from continuants.cli import ConfigError, load_config, main, parse_config
@@ -61,8 +63,7 @@ class TestParseConfig:
         with open(path, "rb") as fh:
             bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
         cfg, original = load_config(str(bom)), load_config(path)
-        # Each load builds its own ring descriptor; the fields it parsed agree.
-        assert cfg[:-1] == original[:-1] and cfg.spec.modulus == original.spec.modulus
+        assert cfg == original
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# header\n\nring = rational # trailing\nl = 1\np = 1\n"
@@ -396,6 +397,36 @@ class TestSubcommands:
         finally:
             sys.set_int_max_str_digits(limit)
         assert len(out) > limit
+
+    @pytest.mark.parametrize("argv, length", [
+        (["continuant", "--config", os.path.join(REPO, "configs", "rational_l2_basic.cfg"),
+          "--n", "20000", "--strategy", "transfer"], 7_657),
+        (["quatpow", "--q=123456789/1000003,2,3/7,4", "--n", "2000"], 126_225),
+    ], ids=["continuant", "quatpow"])
+    def test_long_values_print_without_touching_the_limit(self, argv, length,
+                                                          monkeypatch, capsys):
+        if argv[0] == "continuant":
+            values = [continuant_rec(load_config(argv[2]).to_alpha(), 1, 20000)]
+        else:
+            x = Quaternion(Fraction(123456789, 1000003), 2, Fraction(3, 7), 4)
+            values = quat_power_naive(x, 2000)
+        with int_str_limit(0):
+            expected = ",".join(map(str, values)) + "\n"
+
+        def refuse(limit):
+            raise AssertionError(f"set_int_max_str_digits({limit}) called")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected and len(out) == length
+
+    def test_chebyshev_prints_its_coefficients_under_a_low_limit(self, capsys):
+        with int_str_limit(0):
+            expected = f"{u_coeffs(4000)}\n"
+        with int_str_limit(640):
+            assert main(["chebyshev", "--n", "4000"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_over_long_input_literal_still_refused(self, tmp_path, capsys):
         cfg = tmp_path / "long.cfg"

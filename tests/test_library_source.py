@@ -4,6 +4,10 @@
 vanishes in optimized runs.  Every module of the package must raise
 instead; tests are free to assert.
 
+No module reads or sets the interpreter's int-to-str digit limit: long
+values print through ``ring._int_text``, and the limit, as the user left
+it, keeps refusing over-long integer literals in configs and options.
+
 Every public name is used by library code other than its own definition,
 so code that only tests call lives under ``tests/``.  The exceptions are
 the paper's independent routes that the cross-checks keep as oracles, its
@@ -29,6 +33,14 @@ PUBLIC_WITHOUT_LIBRARY_CALLER = (
 def test_library_modules_have_no_assert():
     found = [f"{name}:{node.lineno}" for name, tree in TREES.items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_modules_leave_the_int_str_digit_limit_alone():
+    names = {"set_int_max_str_digits", "get_int_max_str_digits"}
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+             for node in ast.walk(tree)
+             if names & {getattr(node, "id", None), getattr(node, "attr", None)}]
     assert found == []
 
 

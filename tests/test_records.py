@@ -19,7 +19,7 @@ import pytest
 import continuants
 from continuants import BenchReport, CFDigits, LaurentPoly, Mat2, PeriodicAlpha, Quaternion
 from continuants.cli import load_config
-from continuants.ring import Record
+from continuants.ring import LaurentRing, ModIntRing, RationalRing, Record
 
 Q = Quaternion(1, 2, 3, 4)
 M = Mat2(1, 2, 3, 4)
@@ -101,6 +101,23 @@ def test_parsed_config_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         cfg.a.append(1)
     assert len(cfg.a) == cfg.l
+
+
+@pytest.mark.parametrize("name", ["modint_l3", "rational_l3_basic", "laurent_l3"])
+def test_two_loads_of_one_config_are_equal(name):
+    path = str(pathlib.Path(__file__).parents[1] / "configs" / f"{name}.cfg")
+    x, y = load_config(path), load_config(path)
+    assert x.spec is not y.spec
+    assert x == y and hash(x) == hash(y)
+
+
+def test_ring_descriptors_compare_and_hash_by_value():
+    assert RationalRing() == RationalRing() and hash(RationalRing()) == hash(RationalRing())
+    assert LaurentRing() == LaurentRing() and hash(LaurentRing()) == hash(LaurentRing())
+    assert ModIntRing(97) == ModIntRing(97) and hash(ModIntRing(97)) == hash(ModIntRing(97))
+    assert ModIntRing(97) != ModIntRing(101)
+    assert RationalRing() != LaurentRing() != ModIntRing() != RationalRing()
+    assert RationalRing() != () and ModIntRing(97) != 97
 
 
 def test_quaternion_components_become_fractions():
