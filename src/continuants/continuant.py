@@ -41,13 +41,8 @@ class PeriodicAlpha(Record, namedtuple("PeriodicAlpha", "a b c base l")):
             raise ValueError("a, b, c must be nonempty lists of equal length")
         return super().__new__(cls, a, b, c, base, len(a))
 
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+    def __getnewargs__(self):  # copy, pickle and ``_make`` rebuild through __new__
         return self[:4]
-
-    @classmethod
-    def _make(cls, iterable):  # ``_replace`` too; l follows the new arrays
-        a, b, c, base, _l = iterable
-        return cls(a, b, c, base)
 
     def a_at(self, m: int):
         return self.a[(m - self.base) % self.l]

@@ -33,10 +33,6 @@ class Quaternion(Record, namedtuple("Quaternion", "a b c d")):
         return super().__new__(cls, *(v if isinstance(v, Fraction) else Fraction(v)
                                       for v in (a, b, c, d)))
 
-    @classmethod
-    def _make(cls, iterable):  # ``_replace`` too: components become Fractions
-        return cls(*iterable)
-
     def __str__(self):
         return ",".join(map(_fraction_text, self))
 

@@ -33,7 +33,11 @@ compares cross-multiplied products.
 
 Elements of different rings never mix: arithmetic between them raises
 ``TypeError`` (``ValueError`` for ``ModInt`` values with different moduli).
-All values are immutable and all operations pure.
+All values are immutable and all operations pure.  ``LaurentPoly``,
+``ModInt`` and ``LaurentFraction`` share the private base ``_Value``, which
+refuses attribute assignment and deletion, so ``copy``, ``deepcopy`` and
+``pickle`` rebuild a value through its constructor; so do ``_make`` and
+``_replace`` of every ``Record``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import re
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 from itertools import cycle, islice
+from types import MappingProxyType
 
 #: Default benchmark modulus: the Mersenne prime 2^61 - 1.
 DEFAULT_MODULUS = (1 << 61) - 1
@@ -68,9 +73,17 @@ class Record(tuple):
     returning ``NotImplemented``: for ``tuple + record`` the subclass's
     reflected method runs first, and ``NotImplemented`` would fall back to
     tuple concatenation.  Ordering raises for the same reason.
+
+    Copy, pickle, ``_make`` and ``_replace`` rebuild a record through its
+    constructor, from the arguments that ``__getnewargs__`` maps its fields
+    to, so each of them checks what the constructor checks.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*cls.__getnewargs__(tuple(iterable)))
 
     def _refuse(self, other):
         raise TypeError(f"unsupported operand for {type(self).__name__}: "
@@ -138,14 +151,38 @@ def _fraction_text(x) -> str:
     return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
 
 
-class LaurentPoly:
+class _Value:
+    """Base of the immutable ring values ``LaurentPoly``, ``ModInt`` and
+    ``LaurentFraction``.
+
+    Assignment and deletion of an attribute raise ``AttributeError``;
+    constructors set their slots with ``object.__setattr__``.  ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild a value through its constructor,
+    called with its slots in order, and the repr is ``Name(text)``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class LaurentPoly(_Value):
     """Finitely supported map from integer exponents to integer coefficients.
 
     The zero polynomial has an empty term map.  ``__init__`` takes a dict of
     int exponents to int coefficients and is the one place that drops zero
     coefficients, so arithmetic may hand it cancelled terms.  It is the
     one constructor: ``LaurentPoly({e: c})`` is c*q^e and ``LaurentPoly()``
-    is zero.
+    is zero.  ``terms`` is a read-only view of the term map.
     """
 
     __slots__ = ("terms",)
@@ -159,24 +196,21 @@ class LaurentPoly:
                                     f"{type(e).__name__} and {type(c).__name__}")
                 if c:
                     clean[e] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    def __reduce__(self):  # a mapping proxy does not pickle
+        return LaurentPoly, (self.terms.copy(),)
 
     # --- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    # The zero polynomial has no exponents: both raise ``ValueError``.
     def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
         return min(self.terms)
 
     def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
         return max(self.terms)
 
     def content(self) -> int:
@@ -207,7 +241,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for e, c in o.terms.items():
             terms[e] = terms.get(e, 0) + c
         return LaurentPoly(terms)
@@ -319,9 +353,6 @@ class LaurentPoly:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
 
-    def __repr__(self):
-        return f"LaurentPoly({self})"
-
 
 def _mul_terms(s: dict, o: dict) -> dict:
     """Term map of the product of two term maps; cancelled terms stay as 0."""
@@ -372,7 +403,7 @@ def parse_laurent(text: str) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-class ModInt:
+class ModInt(_Value):
     """Integer residue modulo a fixed odd prime (benchmark ring).
 
     A ``ModInt`` compares equal to every int of its residue class
@@ -387,9 +418,6 @@ class ModInt:
     def __init__(self, value: int, modulus: int = DEFAULT_MODULUS):
         object.__setattr__(self, "value", value % modulus)
         object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModInt is immutable")
 
     def _result(self, value: int) -> "ModInt":
         """Every ``ModInt`` operation returns through here: one op charged."""
@@ -646,7 +674,7 @@ def _unpack(x: int, lo, w: int, g: int) -> "LaurentPoly":
                         for i in range(slots)})
 
 
-class LaurentFraction:
+class LaurentFraction(_Value):
     """Quotient of two integer Laurent polynomials, kept normalized.
 
     Normal form: the denominator's lowest exponent is 0, its leading
@@ -680,9 +708,6 @@ class LaurentFraction:
             den = LaurentPoly({e + shift: c // g for e, c in den.terms.items()})
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentFraction is immutable")
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -762,9 +787,6 @@ class LaurentFraction:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
-    def __repr__(self):
-        return f"LaurentFraction({self})"
-
 
 # --- ring-generic helpers ----------------------------------------------
 
@@ -826,7 +848,15 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*\d+)?$")
 
 class _RingDescriptor:
     """Descriptors compare and hash by value: same class, same state (the
-    modulus of a ``ModIntRing``), so two loads of one config are equal."""
+    modulus of a ``ModIntRing``), so two loads of one config are equal,
+    and print by value too: ``ModIntRing(97)``.  Like ring values they
+    refuse attribute assignment and deletion; copy and pickle restore their
+    state through the instance dict."""
+
+    __setattr__ = __delattr__ = _Value.__setattr__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, vars(self).values()))})"
 
     def __eq__(self, other):
         return type(self) is type(other) and vars(self) == vars(other)
@@ -894,7 +924,7 @@ class ModIntRing(_RingDescriptor):
             raise ValueError(f"modulus must be below {MAX_MODULUS}")
         if modulus == 2 or not _is_prime(modulus):
             raise ValueError("modulus must be an odd prime")
-        self.modulus = modulus
+        object.__setattr__(self, "modulus", modulus)
 
     def parse(self, text: str) -> ModInt:
         s = text.strip()

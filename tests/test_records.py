@@ -5,6 +5,10 @@ copies and pickles to an equal record; ``_make`` and ``_replace`` build
 through the constructor too.  Its fields cannot be reassigned, and tuple
 ordering, concatenation and repetition are refused: they would otherwise
 leak into the arithmetic of matrices and quaternions.
+
+Ring values, ring descriptors, records and loaded configs all copy and
+pickle to an equal value of the same type, and the ring values and
+descriptors refuse attribute assignment and deletion.
 """
 
 import copy
@@ -17,9 +21,13 @@ from fractions import Fraction
 import pytest
 
 import continuants
-from continuants import BenchReport, CFDigits, LaurentPoly, Mat2, PeriodicAlpha, Quaternion
+from continuants import (BenchReport, CFDigits, LaurentFraction, LaurentPoly, Mat2, ModInt,
+                         PeriodicAlpha, Quaternion, parse_laurent)
 from continuants.cli import load_config
 from continuants.ring import LaurentRing, ModIntRing, RationalRing, Record
+
+CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
+CONFIG_NAMES = ("modint_l3", "rational_l3_basic", "laurent_l3")
 
 Q = Quaternion(1, 2, 3, 4)
 M = Mat2(1, 2, 3, 4)
@@ -31,6 +39,40 @@ RECORDS = {
     "quaternion": lambda: Quaternion(1, 2, 3, 4),
     "cf-digits": lambda: CFDigits([2, 3, 1, 4]),
     "bench-report": lambda: BenchReport("rec", 3, 2, 1500, 40, 7),
+}
+
+
+def _config(name):
+    return load_config(str(CONFIGS / f"{name}.cfg"))
+
+
+# Ring values, ring descriptors, a record of ring values, and loaded
+# configs with the alphas built from them; RECORDS holds the other records.
+VALUES = {
+    "laurent-zero": LaurentPoly,
+    "laurent-dense": lambda: parse_laurent("1 + 2*q + 3*q^2 - 4*q^3"),
+    "laurent-negative-exponents": lambda: parse_laurent("q^-3 - 5 + 7*q^4"),
+    "modint": lambda: ModInt(5, 7),
+    "fraction-polynomial": lambda: LaurentFraction(parse_laurent("q^2 - 1"),
+                                                   parse_laurent("q - 1")),
+    "fraction": lambda: LaurentFraction(parse_laurent("q + 2"), parse_laurent("q^2 - 3")),
+    "rational-ring": RationalRing,
+    "laurent-ring": LaurentRing,
+    "modint-ring": lambda: ModIntRing(97),
+    "mat2-modint": lambda: Mat2(*(ModInt(v, 97) for v in (1, 2, 3, 4))),
+    **{f"config-{n}": lambda n=n: _config(n) for n in CONFIG_NAMES},
+    **{f"alpha-{n}": lambda n=n: _config(n).to_alpha() for n in CONFIG_NAMES},
+}
+
+# Each ring value and descriptor with the attributes it holds.
+IMMUTABLE = {
+    "laurent": (lambda: parse_laurent("1 + q"), ("terms",)),
+    "modint": (lambda: ModInt(5, 7), ("value", "modulus")),
+    "fraction": (lambda: LaurentFraction(parse_laurent("q"), parse_laurent("q + 1")),
+                 ("num", "den")),
+    "rational-ring": (RationalRing, ()),
+    "laurent-ring": (LaurentRing, ()),
+    "modint-ring": (lambda: ModIntRing(97), ("modulus",)),
 }
 
 REFUSED = {
@@ -56,13 +98,52 @@ for _name, _make in RECORDS.items():
                                               TypeError, "unsupported operand")
 
 
+def _assert_copies_and_pickles(x):
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(clone) is type(x)
+        assert clone == x and hash(clone) == hash(x) and str(clone) == str(x)
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_equal_records_hash_equal(name):
     x, y = RECORDS[name](), RECORDS[name]()
     assert x is not y and x == y and hash(x) == hash(y)
     assert x == tuple(x) and hash(x) == hash(tuple(x))
-    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
-        assert type(clone) is type(x) and clone == x
+    _assert_copies_and_pickles(x)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_every_value_copies_and_pickles_to_an_equal_value(name):
+    _assert_copies_and_pickles(VALUES[name]())
+
+
+@pytest.mark.parametrize("name", IMMUTABLE)
+def test_ring_values_and_descriptors_refuse_assignment_and_deletion(name):
+    make, attrs = IMMUTABLE[name]
+    x = make()
+    before = (str(x), hash(x))
+    message = f"{type(x).__name__} is immutable"
+    for attr in (*attrs, "extra"):
+        with pytest.raises(AttributeError, match=message):
+            setattr(x, attr, 1)
+        with pytest.raises(AttributeError, match=message):
+            delattr(x, attr)
+    assert (str(x), hash(x)) == before
+
+
+def test_laurent_term_map_is_read_only():
+    x = parse_laurent("1 + q")
+    for write in (lambda: operator.setitem(x.terms, 5, 1), lambda: operator.delitem(x.terms, 0)):
+        with pytest.raises(TypeError, match="mappingproxy"):
+            write()
+    assert x.terms == {0: 1, 1: 1} and hash(x) == hash(parse_laurent("1 + q"))
+
+
+def test_make_builds_through_the_constructor():
+    with pytest.raises(ValueError, match="even length"):
+        CFDigits._make([1, 2, 3])
+    assert CFDigits._make([2, 3]) == CFDigits([2, 3])
+    assert type(CFDigits._make([2, 3])) is CFDigits
 
 
 @pytest.mark.parametrize("name", REFUSED)
