@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import LaurentPoly, _three_term
+from .kernel import _three_term
+from .ring import LaurentPoly
 
 _X = LaurentPoly({1: 1})
 

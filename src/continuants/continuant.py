@@ -22,8 +22,9 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate, count, islice, permutations
 
+from .kernel import _three_term
 from .mat2 import Mat2
-from .ring import Record, _three_term, exact_div, field_div, ring_one, ring_zero
+from .ring import Record, exact_div, field_div, ring_one, ring_zero
 
 
 class PeriodicAlpha(Record, namedtuple("PeriodicAlpha", "a b c base l")):

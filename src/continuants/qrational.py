@@ -107,7 +107,7 @@ def q_fibonacci(n: int) -> LaurentPoly:
     """F_n(q) = K_{n-1}(alpha_1) of the digits [1, 1]; F_1 = F_2 = 1, F_3 = 1 + q.
 
     One ``k_vector`` pass of length n - 1, which the three-term kernel runs
-    on Kronecker-packed ints (``ring._packed_laurent``).
+    on Kronecker-packed ints (``kernel._packed_laurent``).
     """
     if n < 1:
         raise ValueError("q-Fibonacci numbers start at n = 1")

@@ -16,11 +16,11 @@ S_k(g*t, g^2*d) = g^k * S_k(t, d).
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .chebyshev import scaled_u_pair
+from .kernel import _cleared
 from .ring import Record, _fraction_text
 
 
@@ -55,12 +55,6 @@ def _hamilton(x, y) -> tuple:
 def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
     """Hamilton product (i^2 = j^2 = k^2 = ijk = -1)."""
     return Quaternion(*_hamilton(x, y))
-
-
-def _cleared(x: Quaternion) -> tuple:
-    """(g, g*x as an int 4-tuple), g the lcm of the component denominators."""
-    g = math.lcm(*(v.denominator for v in x))
-    return g, tuple(v.numerator * (g // v.denominator) for v in x)
 
 
 def quat_power_naive(x: Quaternion, n: int) -> Quaternion:

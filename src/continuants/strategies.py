@@ -17,9 +17,12 @@ must agree exactly:
 
 These bounds count ring ops.  Only ``ModInt`` ops take constant time, so
 only on ``ModInt`` tables is the O(log n) of ``transfer`` and
-``closed-matpow`` a bound in time: rational and Laurent values grow with
-n, and squaring them costs more than the linear routes' steps.  On
-``laurent_l3.cfg`` at n = 3,000 (README) they are the slowest routes.
+``closed-matpow`` a bound in time.  Rational and Laurent values grow with
+n.  On rational tables the O(log n) routes are still the fastest, since a
+few squarings of large ints cost less than n growing steps; on Laurent
+tables, whose squarings are dict products while the linear routes run
+packed, they are the slowest (README: ``rational_l3_basic.cfg`` at
+n = 60,000 and ``laurent_l3.cfg`` at n = 3,000).
 
 The periodic routes (all but ``rec`` and ``oracle``) write n = l*m + j
 with -1 <= j <= l - 2 (``periodic.split``), build the column

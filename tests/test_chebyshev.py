@@ -7,7 +7,7 @@ import pytest
 from conftest import (complete_homogeneous, pieri_check, rand_fraction, rand_laurent, rand_modint,
                       scaled_u)
 from continuants import u_coeffs, u_coeffs_hypergeometric, u_genfun_coeff
-from continuants import chebyshev, ring
+from continuants import chebyshev, kernel, ring
 from continuants.chebyshev import scaled_u_pair
 from continuants.mat2 import scaled_u_pair_binexp
 
@@ -72,7 +72,7 @@ def test_recurrence_is_one_kernel_pass_and_oracles_none(monkeypatch):
 
     def counting(*args):
         passes.append(args)
-        return ring._three_term(*args)
+        return kernel._three_term(*args)
 
     mul = ring.LaurentPoly.__mul__
 

@@ -1,6 +1,6 @@
 """``k_vector`` is the one recurrence pass for a continuant pair.
 
-One ``ring._three_term`` pass of length n leaves (K_n(p), K_{n-1}(p+1));
+One ``kernel._three_term`` pass of length n leaves (K_n(p), K_{n-1}(p+1));
 ``continuant_rec`` reads its top entry, and every caller that needs both
 entries (``q_rational``, the closed form's one-period pair, the ``verify``
 identities) reads them from one pass.  The kernel is called only from
@@ -17,7 +17,7 @@ import pytest
 
 from conftest import q_fibonacci_parity, rand_alpha, rand_laurent, rand_modint
 from continuants import ModInt, PeriodicAlpha, closed_form_general, continuant_rec, k_vector
-from continuants import chebyshev, cli, continuant, ring, strategies
+from continuants import chebyshev, cli, continuant, kernel, strategies
 from continuants.mat2 import Mat2
 from continuants.qrational import q_fibonacci_closed
 from continuants.ring import LaurentPoly, modint_ops, reset_modint_ops
@@ -49,7 +49,7 @@ def test_kernel_passes_per_command(argv, passes, monkeypatch, capsys):
 
     def counting(*args):
         calls.append(args)
-        return ring._three_term(*args)
+        return kernel._three_term(*args)
 
     monkeypatch.setattr(continuant, "_three_term", counting)
     monkeypatch.setattr(chebyshev, "_three_term", counting)
@@ -108,7 +108,7 @@ def test_closed_form_makes_two_passes_and_no_continuant_rec_call(ring_name, monk
 
     def counting(*args):
         passes.append(args)
-        return ring._three_term(*args)
+        return kernel._three_term(*args)
 
     def counting_rec(*args):
         rec_calls.append(args)
@@ -165,7 +165,7 @@ def test_q_fibonacci_closed_reads_one_s_pair(monkeypatch):
 
     def counting(*args):
         passes.append(args)
-        return ring._three_term(*args)
+        return kernel._three_term(*args)
 
     def counted(name, mul):
         def wrapped(self, other):

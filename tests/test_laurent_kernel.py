@@ -1,4 +1,4 @@
-"""The Laurent branch of the three-term kernel ``ring._three_term``.
+"""The Laurent branch of the three-term kernel ``kernel._three_term``.
 
 Tables of ``LaurentPoly`` and int entries, at least one a ``LaurentPoly``,
 run on Kronecker-packed ints when their exponent support is dense on its
@@ -22,8 +22,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from continuants import LaurentPoly, PeriodicAlpha, k_vector, transfer_matrix
 from continuants.chebyshev import scaled_u_pair
 from continuants.cli import main
-from continuants import ring
-from continuants.ring import _packed_laurent, _three_term, parse_laurent
+from continuants import kernel
+from continuants.kernel import _packed_laurent, _three_term
+from continuants.ring import parse_laurent
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -155,7 +156,7 @@ def test_stride_pre_pass_reads_each_entrys_floor_once(monkeypatch):
         calls.append(1)
         return min(*args, **kwargs)
 
-    monkeypatch.setattr(ring, "min", counted_min, raising=False)
+    monkeypatch.setattr(kernel, "min", counted_min, raising=False)
     packed = _packed_laurent(a, e, steps)
     assert len(calls) <= 2 * len(a) + steps  # each entry's floors, and one per step
     square = {k: min(k + 1, 2 * n - 1 - k) for k in range(2 * n - 1)}  # [n]_q^2

@@ -1,4 +1,4 @@
-"""The three-term loop ``ring._three_term`` behind ``continuant_rec`` and
+"""The three-term loop ``kernel._three_term`` behind ``continuant_rec`` and
 ``scaled_u_pair``.
 
 On ``ModInt`` tables of one modulus it runs on raw ints, and must return

@@ -1,4 +1,4 @@
-"""The rational branch of the three-term kernel ``ring._three_term``.
+"""The rational branch of the three-term kernel ``kernel._three_term``.
 
 Tables of ``Fraction`` and int entries, at least one a ``Fraction``, run on
 plain ints scaled by the lcm ``g`` of the denominators and become two
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from continuants.chebyshev import scaled_u_pair
-from continuants.ring import _three_term
+from continuants.kernel import _three_term
 
 STEPS = (0, 1, 2, 57)
 

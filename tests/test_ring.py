@@ -248,6 +248,8 @@ def test_ring_helpers():
 def test_ring_descriptors_parse_and_format():
     rational = ring_by_name("rational")
     assert rational.parse("6/4") == Fraction(3, 2)
+    # The literal pattern admits any whitespace around the slash.
+    assert rational.parse("3 / 4") == rational.parse("3/\t4") == rational.parse("3\t/ 4") == Fraction(3, 4)
     assert rational.format(Fraction(-7, 2)) == "-7/2"
     with pytest.raises(ValueError):
         rational.parse("1.5")

@@ -1,5 +1,5 @@
 """Ring maps commute with the three-term recurrence, so the four branches of
-``ring._three_term`` check each other.
+``kernel._three_term`` check each other.
 
 Evaluation at q = 2 takes a Laurent table to a rational one, and q -> 123456789
 modulo 2^61 - 1 takes it to a ``ModInt`` one.  ``k_vector`` on the mapped
@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from continuants import LaurentPoly, ModInt, PeriodicAlpha, k_vector
-from continuants import ring
+from continuants import kernel
 from continuants.cli import load_config
 from continuants.ring import DEFAULT_MODULUS
 from continuants.strategies import STRATEGIES
@@ -35,7 +35,7 @@ LAURENT_CONFIGS = ("laurent_l1.cfg", "laurent_l2_a2.cfg", "laurent_l2_nonmonic.c
 # One line of each branch of ``_three_term``, which runs only on that branch.
 _BRANCH_MARKERS = {
     "modint": "_modint_ops +=",
-    "rational": "g = math.lcm(",
+    "rational": "_cleared(",
     "packed": "return packed",
     "object": "prev, cur = ring_zero(a[0]), ring_one(a[0])",
 }
@@ -53,11 +53,11 @@ def mod_p(x: LaurentPoly) -> ModInt:
 @contextlib.contextmanager
 def branches_run(counts: Counter):
     """Count, per branch, the ``_three_term`` passes that take it."""
-    source, first = inspect.getsourcelines(ring._three_term)
+    source, first = inspect.getsourcelines(kernel._three_term)
     lines = {first + i: name for name, marker in _BRANCH_MARKERS.items()
              for i, line in enumerate(source) if marker in line}
     assert sorted(lines.values()) == sorted(_BRANCH_MARKERS)  # one line per marker
-    code = ring._three_term.__code__
+    code = kernel._three_term.__code__
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in lines:

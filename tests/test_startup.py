@@ -73,7 +73,7 @@ def loaded_after(*argv: str) -> frozenset:
 
 def test_noop_command_loads_only_cli_ring_and_chebyshev():
     assert loaded_after("chebyshev", "--n", "0") == {
-        "continuants.cli", "continuants.ring", "continuants.chebyshev"}
+        "continuants.cli", "continuants.ring", "continuants.kernel", "continuants.chebyshev"}
 
 
 @pytest.mark.parametrize("argv", MODINT_COMMANDS, ids=command_id)
@@ -94,7 +94,7 @@ def test_q_commands_load_no_periodic_module(argv):
     # Neither command runs a periodic strategy; q_fibonacci_closed reads its S pair
     # from chebyshev, so no q route imports continuants.periodic.
     assert loaded_after(*argv) == {f"continuants.{m}" for m in (
-        "cli", "ring", "chebyshev", "mat2", "continuant", "qrational")}
+        "cli", "ring", "kernel", "chebyshev", "mat2", "continuant", "qrational")}
 
 
 @pytest.mark.parametrize("argv", RECORD_COMMANDS, ids=lambda argv: argv[0])
