@@ -12,7 +12,7 @@ import argparse
 import sys
 from collections import namedtuple
 
-from .ring import RationalRing, Record, _int_text, ring_by_name
+from .ring import RationalRing, Record, _int_literal, _int_text, ring_by_name
 
 # Each subcommand handler imports the library modules it runs when it runs,
 # so a command loads only those (tests/test_startup.py pins the sets).
@@ -80,7 +80,7 @@ def parse_config(text: str) -> AlphaConfig:
     def int_field(key: str) -> int:
         lineno, value = entries[key]
         try:
-            return int(value)
+            return _int_literal(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: field {key!r} must be an integer") from None
 

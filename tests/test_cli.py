@@ -123,6 +123,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    # Every integer of a config is an optional sign and ASCII digits: no
+    # underscore, and no other Unicode digit (U+0661, U+0663 and U+0664 are
+    # the Arabic-Indic digits 1, 3 and 4), though ``int`` takes both.
+    @pytest.mark.parametrize("ring,fields,message", [
+        ("rational", "l = 1_0\np = 1", r"line 2: field 'l' must be an integer"),
+        ("rational", "l = 1\np = \u0661", r"line 3: field 'p' must be an integer"),
+        ("modint", "l = 1\np = 1\nmodulus = 1_000_003",
+         r"line 4: field 'modulus' must be an integer"),
+        ("modint", "l = 1\np = 1\nmodulus = \u0663",
+         r"line 4: field 'modulus' must be an integer"),
+        ("modint", "l = 1\np = 1\na = [1_0]", r"line 4: field 'a'\[0\]: not an integer"),
+        ("modint", "l = 1\np = 1\na = [\u0663]", r"line 4: field 'a'\[0\]: not an integer"),
+        ("rational", "l = 1\np = 1\na = [\u0663]", r"line 4: field 'a'\[0\]: not a rational"),
+        ("rational", "l = 1\np = 1\na = [3/\u0664]", r"line 4: field 'a'\[0\]: not a rational"),
+        ("laurent", "l = 1\np = 1\na = [\u0663q]", r"line 4: field 'a'\[0\]: cannot parse"),
+        ("laurent", "l = 1\np = 1\na = [q^\u0663]", r"line 4: field 'a'\[0\]: cannot parse"),
+    ], ids=["l-underscore", "p-unicode", "modulus-underscore", "modulus-unicode",
+            "modint-underscore", "modint-unicode", "rational-unicode",
+            "rational-unicode-denominator", "laurent-unicode-coefficient",
+            "laurent-unicode-exponent"])
+    def test_integers_are_ascii_digits(self, ring, fields, message):
+        text = f"ring = {ring}\n{fields}\n"
+        for key in "abc":
+            if f"{key} = " not in text:
+                text += f"{key} = [1]\n"
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(text)
+
 
 def _no_identity(alpha, n_max, m_max):
     """A verify identity that fails if a refused size reaches it."""

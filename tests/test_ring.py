@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,97 @@ def test_mixing_ring_instances_rejected():
         ModInt(1, 7) + ModInt(1, 11)
     with pytest.raises(TypeError):
         ModInt(1, 7) + LaurentPoly({1: 1})
+
+
+# The Laurent operand protocol: every binary operator of LaurentPoly and
+# LaurentFraction coerces an int (and LaurentFraction a LaurentPoly) and
+# returns NotImplemented for any other operand, so Python raises TypeError.
+P, Q = parse_laurent("q + 2"), parse_laurent("q")
+F = LaurentFraction(1, parse_laurent("q + 1"))
+
+
+def frac(num: str, den: str = "1") -> LaurentFraction:
+    return LaurentFraction(parse_laurent(num), parse_laurent(den))
+
+
+LAURENT_OPERATORS = {
+    LaurentPoly: ("__add__", "__sub__", "__rsub__", "__mul__", "__eq__"),
+    LaurentFraction: ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__",
+                      "__rtruediv__", "__eq__"),
+}
+
+# Each operator as Python applies it to a value x and an operand y: the
+# reflected ones put the operand on the left.
+APPLY = {
+    "__add__": lambda x, y: x + y, "__sub__": lambda x, y: x - y,
+    "__rsub__": lambda x, y: y - x, "__mul__": lambda x, y: x * y,
+    "__truediv__": lambda x, y: x / y, "__rtruediv__": lambda x, y: y / x,
+    "__eq__": lambda x, y: x == y,
+}
+
+# (class, operator, value, coercible operand, expected result)
+LAURENT_OP_CASES = [
+    (LaurentPoly, "__add__", P, 3, parse_laurent("q + 5")),
+    (LaurentPoly, "__sub__", P, 3, parse_laurent("q - 1")),
+    (LaurentPoly, "__rsub__", P, 3, parse_laurent("1 - q")),
+    (LaurentPoly, "__mul__", P, 3, parse_laurent("3q + 6")),
+    (LaurentPoly, "__eq__", parse_laurent("3"), 3, True),
+    (LaurentFraction, "__add__", F, 1, frac("q + 2", "q + 1")),
+    (LaurentFraction, "__add__", F, Q, frac("q^2 + q + 1", "q + 1")),
+    (LaurentFraction, "__sub__", F, 1, frac("-q", "q + 1")),
+    (LaurentFraction, "__sub__", F, Q, frac("1 - q - q^2", "q + 1")),
+    (LaurentFraction, "__rsub__", F, 1, frac("q", "q + 1")),
+    (LaurentFraction, "__rsub__", F, Q, frac("q^2 + q - 1", "q + 1")),
+    (LaurentFraction, "__mul__", F, 2, frac("2", "q + 1")),
+    (LaurentFraction, "__mul__", F, parse_laurent("q + 1"), frac("1")),
+    (LaurentFraction, "__truediv__", F, 2, frac("1", "2q + 2")),
+    (LaurentFraction, "__truediv__", F, Q, frac("1", "q^2 + q")),
+    (LaurentFraction, "__rtruediv__", F, 2, frac("2q + 2")),
+    (LaurentFraction, "__rtruediv__", F, Q, frac("q^2 + q")),
+    (LaurentFraction, "__eq__", frac("3"), 3, True),
+    (LaurentFraction, "__eq__", frac("q"), Q, True),
+]
+FOREIGN_OPERANDS = [Fraction(1, 2), ModInt(3, MOD7), 1.5, "q"]
+
+
+def laurent_case_id(case):
+    return f"{case[0].__name__}.{case[1]}-{type(case[3]).__name__}"
+
+
+def test_laurent_op_cases_cover_every_operator():
+    covered = {(cls, operator) for cls, operator, *_ in LAURENT_OP_CASES}
+    named = {(cls, op) for cls, ops in LAURENT_OPERATORS.items() for op in ops}
+    assert covered == named
+    assert all(operator in vars(cls) for cls, operator in named)
+    # No other method of the two classes is wrapped (an alias such as
+    # ``__radd__ = __add__`` carries the name of the method it aliases).
+    wrapped = {(cls, attr.__name__) for cls in LAURENT_OPERATORS for attr in vars(cls).values()
+               if isinstance(attr, FunctionType) and hasattr(attr, "__wrapped__")}
+    assert wrapped <= named
+
+
+@pytest.mark.parametrize("cls,operator,value,operand,expected", LAURENT_OP_CASES,
+                         ids=[laurent_case_id(case) for case in LAURENT_OP_CASES])
+def test_each_laurent_operator_coerces_int_and_poly(cls, operator, value, operand,
+                                                    expected):
+    assert type(value) is cls
+    for result in (getattr(value, operator)(operand), APPLY[operator](value, operand)):
+        assert type(result) is type(expected)
+        assert result == expected
+
+
+@pytest.mark.parametrize("foreign", FOREIGN_OPERANDS, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("cls,operator", [(cls, op) for cls, ops in LAURENT_OPERATORS.items()
+                                          for op in ops],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_each_laurent_operator_refuses_foreign_operands(cls, operator, foreign):
+    value = P if cls is LaurentPoly else F
+    assert getattr(value, operator)(foreign) is NotImplemented
+    if operator == "__eq__":
+        assert (value == foreign, foreign == value) == (False, False)
+    else:
+        with pytest.raises(TypeError):
+            APPLY[operator](value, foreign)
 
 
 @given(st.integers(-10, 10))
