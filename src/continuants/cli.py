@@ -12,7 +12,7 @@ import argparse
 import sys
 from collections import namedtuple
 
-from .ring import RationalRing, Record, _int_literal, _int_text, ring_by_name
+from .ring import RationalRing, Record, _int_literal, _int_text, _refuse_above, ring_by_name
 
 # Each subcommand handler imports the library modules it runs when it runs,
 # so a command loads only those (tests/test_startup.py pins the sets).
@@ -174,13 +174,10 @@ def _cmd_qrat(args) -> int:
     from .qrational import cf_digits, q_rational
 
     digits = cf_digits(args.r, args.s)
-    if sum(digits) > QRAT_MAX_DIGIT_SUM:
-        raise ValueError(f"qrat refuses digit sum = {sum(digits)} > "
-                         f"QRAT_MAX_DIGIT_SUM = {QRAT_MAX_DIGIT_SUM}")
-    bits = (sum(digits) + 1) * args.r.bit_length()
-    if bits > QRAT_MAX_OUTPUT_BITS:
-        raise ValueError(f"qrat refuses (digit sum + 1) * bit_length(r) = {bits} > "
-                         f"QRAT_MAX_OUTPUT_BITS = {QRAT_MAX_OUTPUT_BITS}")
+    _refuse_above("qrat", "digit sum", sum(digits), "QRAT_MAX_DIGIT_SUM", QRAT_MAX_DIGIT_SUM)
+    _refuse_above("qrat", "(digit sum + 1) * bit_length(r)",
+                  (sum(digits) + 1) * args.r.bit_length(),
+                  "QRAT_MAX_OUTPUT_BITS", QRAT_MAX_OUTPUT_BITS)
     value = q_rational(digits)
     print(f"digits: {list(digits)}")
     print(f"numerator: {value.num}")
@@ -191,8 +188,7 @@ def _cmd_qrat(args) -> int:
 def _cmd_qfib(args) -> int:
     from .qrational import q_fibonacci
 
-    if args.n > QFIB_MAX_N:
-        raise ValueError(f"qfib refuses n = {args.n} > QFIB_MAX_N = {QFIB_MAX_N}")
+    _refuse_above("qfib", "n", args.n, "QFIB_MAX_N", QFIB_MAX_N)
     print(q_fibonacci(args.n))
     return 0
 
@@ -200,8 +196,7 @@ def _cmd_qfib(args) -> int:
 def _cmd_quatpow(args) -> int:
     from .quaternion import Quaternion, quat_power_cheb, quat_power_naive
 
-    if args.n > QUATPOW_MAX_N:
-        raise ValueError(f"quatpow refuses n = {args.n} > QUATPOW_MAX_N = {QUATPOW_MAX_N}")
+    _refuse_above("quatpow", "n", args.n, "QUATPOW_MAX_N", QUATPOW_MAX_N)
     parts = args.q.split(",")
     if len(parts) != 4:
         raise ValueError("--q expects four comma-separated rationals a,b,c,d")
@@ -216,8 +211,7 @@ def _cmd_quatpow(args) -> int:
 def _cmd_chebyshev(args) -> int:
     from .chebyshev import u_coeffs
 
-    if args.n > CHEBYSHEV_MAX_N:
-        raise ValueError(f"chebyshev refuses n = {args.n} > CHEBYSHEV_MAX_N = {CHEBYSHEV_MAX_N}")
+    _refuse_above("chebyshev", "n", args.n, "CHEBYSHEV_MAX_N", CHEBYSHEV_MAX_N)
     print(f"[{', '.join(map(_int_text, u_coeffs(args.n)))}]")
     return 0
 
@@ -225,7 +219,7 @@ def _cmd_chebyshev(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import render_table, run_bench
 
-    m_list = [int(s) for s in args.m_list.split(",") if s.strip()]
+    m_list = [_int_literal(s) for s in args.m_list.split(",") if s.strip()]
     if not m_list:  # an empty table would check nothing
         raise ValueError("bench refuses an --m-list with no sizes")
     cfg = load_config(args.config)
@@ -265,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cont = sub.add_parser("continuant", help="evaluate K_n for a config")
     p_cont.add_argument("--config", required=True)
-    p_cont.add_argument("--n", type=int, required=True)
+    p_cont.add_argument("--n", type=_int_literal, required=True)
     p_cont.add_argument("--strategy", choices=CONTINUANT_STRATEGIES, default="rec")
     p_cont.set_defaults(func=_cmd_continuant)
 
     p_per = sub.add_parser("periodic", help="evaluate K_{lm+j} closed forms")
     p_per.add_argument("--config", required=True)
-    p_per.add_argument("--m", type=int, required=True)
-    p_per.add_argument("--j", type=int, default=None,
+    p_per.add_argument("--m", type=_int_literal, required=True)
+    p_per.add_argument("--j", type=_int_literal, default=None,
                        help="offset in -1..l-2; omit for plain K_{lm}")
     p_per.add_argument("--strategy", choices=PERIODIC_STRATEGIES, default="closed")
     p_per.add_argument("--verify", action="store_true",
@@ -280,23 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_per.set_defaults(func=_cmd_periodic)
 
     p_qrat = sub.add_parser("qrat", help="q-deformation of a rational r/s")
-    p_qrat.add_argument("--r", type=int, required=True)
-    p_qrat.add_argument("--s", type=int, required=True)
+    p_qrat.add_argument("--r", type=_int_literal, required=True)
+    p_qrat.add_argument("--s", type=_int_literal, required=True)
     p_qrat.set_defaults(func=_cmd_qrat)
 
     p_qfib = sub.add_parser("qfib", help="q-Fibonacci polynomial F_n(q)")
-    p_qfib.add_argument("--n", type=int, required=True)
+    p_qfib.add_argument("--n", type=_int_literal, required=True)
     p_qfib.set_defaults(func=_cmd_qfib)
 
     p_quat = sub.add_parser("quatpow", help="exact quaternion power")
     p_quat.add_argument("--q", required=True,
                         help="components a,b,c,d, each p or p/q; write --q=-1,... "
                              "when a is negative")
-    p_quat.add_argument("--n", type=int, required=True)
+    p_quat.add_argument("--n", type=_int_literal, required=True)
     p_quat.set_defaults(func=_cmd_quatpow)
 
     p_cheb = sub.add_parser("chebyshev", help="coefficients of U_n(x)")
-    p_cheb.add_argument("--n", type=int, required=True)
+    p_cheb.add_argument("--n", type=_int_literal, required=True)
     p_cheb.set_defaults(func=_cmd_chebyshev)
 
     p_bench = sub.add_parser("bench", help="compare evaluation strategies")
@@ -307,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="cross-strategy agreement suite")
     p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--n-max", type=int, default=8)
-    p_ver.add_argument("--m-max", type=int, default=4)
+    p_ver.add_argument("--n-max", type=_int_literal, default=8)
+    p_ver.add_argument("--m-max", type=_int_literal, default=4)
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

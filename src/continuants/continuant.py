@@ -24,7 +24,7 @@ from itertools import accumulate, count, islice, permutations
 
 from .kernel import _three_term
 from .mat2 import Mat2
-from .ring import Record, exact_div, field_div, ring_one, ring_zero
+from .ring import Record, _refuse_above, exact_div, field_div, ring_one, ring_zero
 
 
 class PeriodicAlpha(Record, namedtuple("PeriodicAlpha", "a b c base l")):
@@ -170,8 +170,7 @@ def det_leibniz(rows: list[dict]):
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix has no ring to supply det = 1")
-    if n > LEIBNIZ_MAX_N:
-        raise ValueError(f"the Leibniz oracle refuses n = {n} > LEIBNIZ_MAX_N = {LEIBNIZ_MAX_N}")
+    _refuse_above("the Leibniz oracle", "n", n, "LEIBNIZ_MAX_N", LEIBNIZ_MAX_N)
     zero = ring_zero(rows[0][0])
     total = zero
     for perm in permutations(range(n)):
@@ -208,8 +207,7 @@ def continuant_det_oracle(alpha: PeriodicAlpha, p: int, n: int):
     """K_n as a Bareiss determinant of the tridiagonal band, n <= ORACLE_MAX_N."""
     if n < -1:
         raise ValueError("continuants are defined for n >= -1")
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"the oracle refuses n = {n} > ORACLE_MAX_N = {ORACLE_MAX_N}")
+    _refuse_above("the oracle", "n", n, "ORACLE_MAX_N", ORACLE_MAX_N)
     if n == -1:
         return alpha.zero()
     if n == 0:

@@ -32,9 +32,11 @@ refuses attribute assignment and deletion, so ``copy``, ``deepcopy`` and
 ``pickle`` rebuild a value through its constructor; so do ``_make`` and
 ``_replace`` of every ``Record``.
 
-Every integer in a config, the ``l``, ``p`` and ``modulus`` fields and
-the integer parts of the three element grammars, is one pattern, ``_INT``:
-an optional sign and ASCII digits.
+Every integer the package reads as text, in a config (the ``l``, ``p`` and
+``modulus`` fields and the integer parts of the three element grammars) or
+on the command line (each integer option and ``bench --m-list`` item), is
+one pattern, ``_INT``: an optional sign and ASCII digits.  Every size bound
+refuses through one guard, ``_refuse_above``, in one message format.
 """
 
 from __future__ import annotations
@@ -366,10 +368,11 @@ def _mul_terms(s: dict, o: dict) -> dict:
     return terms
 
 
-#: The one integer literal of every config field and element grammar: an
-#: optional sign and ASCII digits (``\d`` and ``int`` also take every other
-#: Unicode digit, and ``int`` takes ``_`` between digits).  The unsigned
-#: parts, a Laurent coefficient and a denominator, are ``_DIGITS``.
+#: The one integer literal of every config field, element grammar and CLI
+#: integer option: an optional sign and ASCII digits (``\d`` and ``int``
+#: also take every other Unicode digit, and ``int`` takes ``_`` between
+#: digits).  The unsigned parts, a Laurent coefficient and a denominator,
+#: are ``_DIGITS``.
 _DIGITS = "[0-9]+"
 _INT = f"[+-]?{_DIGITS}"
 
@@ -381,6 +384,12 @@ def _int_literal(text: str) -> int:
     if not re.fullmatch(_INT, s):
         raise ValueError(f"not an integer literal: {text!r}")
     return int(s)
+
+
+def _refuse_above(who: str, what: str, value: int, name: str, bound: int) -> None:
+    """The one size guard: ``ValueError`` naming the bound when ``value > bound``."""
+    if value > bound:
+        raise ValueError(f"{who} refuses {what} = {value} > {name} = {bound}")
 
 
 _LAURENT_TERM = re.compile(

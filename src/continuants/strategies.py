@@ -49,6 +49,7 @@ from .continuant import (
 )
 from .mat2 import mat_power_binexp, mat_power_cheb, scaled_u_pair_binexp
 from .periodic import closed_form_general, offset_step, split
+from .ring import _refuse_above
 
 
 def _closed_form(alpha: PeriodicAlpha, p: int, n: int, pair=None):
@@ -191,7 +192,6 @@ def run_verify(alpha: PeriodicAlpha, n_max: int = 8, m_max: int = 4):
     for name, value in (("n_max", n_max), ("m_max", m_max)):
         if value < 0:
             raise ValueError(f"verify refuses {name} = {value} < 0")
-        if value > VERIFY_MAX:
-            raise ValueError(f"verify refuses {name} = {value} > VERIFY_MAX = {VERIFY_MAX}")
+        _refuse_above("verify", name, value, "VERIFY_MAX", VERIFY_MAX)
     return [_tally(name, identity(alpha, n_max, m_max))
             for name, identity in _IDENTITIES.items()]

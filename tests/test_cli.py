@@ -178,6 +178,31 @@ SIZE_BOUNDS = [
 ]
 
 
+# Every integer option follows the config's integer rule (see
+# test_integers_are_ascii_digits): argparse refuses other digits and "_"
+# before the command reads its config or does any work.
+MODINT_L3 = os.path.join(REPO, "configs", "modint_l3.cfg")
+FIB_L1 = os.path.join(REPO, "configs", "fib_l1.cfg")
+INTEGER_OPTIONS = [
+    (["chebyshev", "--n", "\u0663"], "continuants.chebyshev.u_coeffs", "--n"),
+    (["chebyshev", "--n", "1_0"], "continuants.chebyshev.u_coeffs", "--n"),
+    (["qrat", "--r", "\u0661\u0663", "--s", "5"], "continuants.qrational.q_rational", "--r"),
+    (["qrat", "--r", "13", "--s", "5_0"], "continuants.qrational.q_rational", "--s"),
+    (["qfib", "--n", "1_0"], "continuants.qrational.q_fibonacci", "--n"),
+    (["quatpow", "--q", "1,2,3,4", "--n", "\u0663"], "continuants.quaternion.quat_power_cheb",
+     "--n"),
+    (["continuant", "--config", MODINT_L3, "--n", "\u0663"], "continuants.cli.load_config",
+     "--n"),
+    (["periodic", "--config", MODINT_L3, "--m", "\u0663"], "continuants.cli.load_config", "--m"),
+    (["periodic", "--config", MODINT_L3, "--m", "3", "--j", "\u0661"],
+     "continuants.cli.load_config", "--j"),
+    (["verify", "--config", MODINT_L3, "--n-max", "\u0663"], "continuants.cli.load_config",
+     "--n-max"),
+    (["verify", "--config", MODINT_L3, "--m-max", "1_0"], "continuants.cli.load_config",
+     "--m-max"),
+]
+
+
 def _record_periodic_routes(monkeypatch) -> list:
     """Wrap each `periodic` route to append (name, stdout so far) to the
     returned list when it is called."""
@@ -577,6 +602,40 @@ class TestSubcommands:
         monkeypatch.setattr(worker, _no_worker)
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,worker,option", INTEGER_OPTIONS,
+                             ids=["chebyshev-unicode", "chebyshev-underscore", "qrat-r",
+                                  "qrat-s", "qfib", "quatpow", "continuant", "periodic-m",
+                                  "periodic-j", "verify-n-max", "verify-m-max"])
+    def test_integer_options_are_ascii_digits(self, argv, worker, option, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(worker, _no_worker)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: argument {option}: " in err
+
+    def test_bench_m_list_items_follow_the_integer_rule(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr("continuants.bench.run_bench",
+                            lambda alpha, m_list: seen.append(m_list) or [])
+        assert main(["bench", "--config", MODINT_L3, "--m-list", "3,\u0663"]) == 1
+        assert capsys.readouterr() == ("", "error: not an integer literal: '\u0663'\n")
+        assert main(["bench", "--config", MODINT_L3, "--m-list", " +2 , 3", "--csv"]) == 0
+        assert seen == [[2, 3]]
+
+    @pytest.mark.parametrize("argv,same_as", [
+        (["chebyshev", "--n", "+5"], ["chebyshev", "--n", "5"]),
+        (["chebyshev", "--n", " 7 "], ["chebyshev", "--n", "7"]),
+        (["periodic", "--config", FIB_L1, "--m", "6", "--j", "-1"],
+         ["continuant", "--config", FIB_L1, "--n", "5"]),
+    ], ids=["plus-sign", "spaces", "negative-j"])
+    def test_integer_options_take_sign_and_spaces(self, argv, same_as, capsys):
+        assert main(same_as) == 0
+        expected = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("argv,worker,value", [
         (["chebyshev", "--n", str(cli.CHEBYSHEV_MAX_N)], "continuants.chebyshev.u_coeffs",

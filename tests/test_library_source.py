@@ -4,6 +4,10 @@
 vanishes in optimized runs.  Every module of the package must raise
 instead; tests are free to assert.
 
+Every size bound refuses through ``ring._refuse_above``, the one place
+that writes the refusal message, and the CLI reads every integer option
+with ``ring._int_literal``, the config's integer rule, never with ``int``.
+
 No module reads or sets the interpreter's int-to-str digit limit: long
 values print through ``ring._int_text``, and the limit, as the user left
 it, keeps refusing over-long integer literals in configs and options.
@@ -42,6 +46,25 @@ def test_library_modules_leave_the_int_str_digit_limit_alone():
              for node in ast.walk(tree)
              if names & {getattr(node, "id", None), getattr(node, "attr", None)}]
     assert found == []
+
+
+def test_every_size_bound_refuses_through_one_guard():
+    # "<who> refuses <what> = <value> > <NAME> = <bound>" is written once.
+    found = [(path.name, lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "refuses" in line and " > " in line]
+    assert len(found) == 1 and found[0][0] == "ring.py"
+    assert found[0][1] in _definition_lines(TREES["ring.py"], "_refuse_above")
+
+
+def test_cli_reads_integers_by_the_config_rule():
+    # argparse's int() takes any Unicode digit and "_" between digits.
+    calls = [node for node in ast.walk(TREES["cli.py"]) if isinstance(node, ast.Call)]
+    types = {ast.unparse(keyword.value) for node in calls
+             if getattr(node.func, "attr", None) == "add_argument"
+             for keyword in node.keywords if keyword.arg == "type"}
+    assert types == {"_int_literal"}
+    assert [node.lineno for node in calls if getattr(node.func, "id", None) == "int"] == []
 
 
 def _definition_lines(tree: ast.Module, name: str) -> range:

@@ -87,6 +87,9 @@ def test_q_rational_two_ones():
     value = q_rational(CFDigits((1, 1)))
     assert value.num == parse_laurent("1 + q")
     assert value.den == LaurentPoly({0: 1})
+    # A plain digit list is checked and read as CFDigits.
+    assert q_rational([1, 1]) == value
+    assert q_rational(list(cf_digits(8, 5))) == q_rational(cf_digits(8, 5))
 
 
 def test_q_rational_eight_fifths():

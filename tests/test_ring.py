@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from types import FunctionType
 
@@ -21,6 +22,7 @@ from continuants.ring import (
     DEFAULT_MODULUS,
     MAX_MODULUS,
     _is_prime,
+    exact_div,
     modint_ops,
     reset_modint_ops,
 )
@@ -183,6 +185,27 @@ def test_each_laurent_operator_refuses_foreign_operands(cls, operator, foreign):
             APPLY[operator](value, foreign)
 
 
+# Error paths of the Laurent values and the ring helpers: (compute, error, message).
+RING_ERRORS = [
+    (lambda: P.exact_div(Fraction(1, 2)), TypeError,
+     "cannot divide LaurentPoly by Fraction(1, 2)"),
+    (lambda: LaurentFraction(Fraction(1, 2)), TypeError, "expected LaurentPoly, got Fraction"),
+    (lambda: LaurentFraction(P, 1.5), TypeError, "expected LaurentPoly, got float"),
+    (lambda: F / 0, ZeroDivisionError, "LaurentFraction division by zero"),
+    (lambda: F / LaurentPoly(), ZeroDivisionError, "LaurentFraction division by zero"),
+    (lambda: exact_div(7, 2), ValueError, "7 not divisible by 2"),
+]
+
+
+@pytest.mark.parametrize("compute,error,message", RING_ERRORS,
+                         ids=["poly-exact-div-foreign", "fraction-foreign-num",
+                              "fraction-foreign-den", "fraction-div-int-zero",
+                              "fraction-div-poly-zero", "int-exact-div-remainder"])
+def test_ring_error_paths(compute, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        compute()
+
+
 @given(st.integers(-10, 10))
 def test_laurent_q_power_shift_roundtrip(k):
     rng = random.Random(k)
@@ -263,6 +286,8 @@ def test_laurent_fraction_normal_form():
     assert math.gcd(frac.num.content(), frac.den.content()) == 1
     # value preserved: (2q + 2) / (4 q^-1) = (q^2 + q) / 2
     assert frac == LaurentFraction(parse_laurent("q^2 + q"), parse_laurent("2"))
+    # A fraction over 1 prints as its numerator.
+    assert str(LaurentFraction(parse_laurent("2 + q^-1"))) == "q^-1 + 2"
 
 
 def test_laurent_fraction_cross_multiplied_equality():
@@ -333,6 +358,9 @@ def test_ring_helpers():
     assert ring_one(LaurentPoly({1: 1})) == LaurentPoly({0: 1})
     assert ring_one(ModInt(5, 7)) == ModInt(1, 7)
     assert ring_zero(7) == 0 and ring_one(7) == 1
+    assert ring_zero(F) == LaurentFraction(0) and ring_one(F) == LaurentFraction(1)
+    assert type(ring_zero(F)) is type(ring_one(F)) is LaurentFraction
+    assert exact_div(-12, 4) == -3
     with pytest.raises(TypeError):
         ring_one("nope")
 
